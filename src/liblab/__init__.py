@@ -4,8 +4,8 @@ Subpackages/modules:
 
 - ``ncalg``     symbolic noncommutative word/polynomial algebra with the
   liberation derivation, its cyclic version, and the ``Pi^s`` substitution
-- ``ncpart``    non-crossing partitions, Kreweras complement, moment/cumulant
-  Moebius inversion
+- ``ncpart``    the first-block moment/cumulant recursion, non-crossing
+  partitions and the Kreweras complement
 - ``freestate`` exact large-N trace oracles (free products, free unitary
   Brownian motion, liberation states, conditional-expectation expansion)
 - ``rmt``       finite-N Monte Carlo (unitary Brownian motion, Haar sampling,

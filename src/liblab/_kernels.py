@@ -1,89 +1,21 @@
-"""Hot numeric kernels with a numba lane and a pure-numpy fallback.
-
-Lane selection: the env var ``LIBLAB_NUMBA`` ("1"/"0") forces a lane; when
-unset, numba is used if importable. Eigendecompositions stay in LAPACK either
-way — the kernels here are the elementwise assembly/reconstruction steps that
-surround them.
-"""
+"""Elementwise numeric kernels around the stepper's eigendecomposition:
+GUE assembly before ``eigh`` and the phase reconstruction after it."""
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
 
-def _want_numba() -> bool:
-    flag = os.environ.get("LIBLAB_NUMBA")
-    if flag is not None:
-        return flag not in ("0", "false", "False", "")
-    try:
-        import numba  # noqa: F401
-
-        return True
-    except ImportError:
-        return False
-
-
-def assemble_gue_numpy(A, B):
+def assemble_gue(A, B):
     """H = (G + G^H) / sqrt(4N) with G = A + iB; E tr_N H^2 = 1."""
     N = A.shape[-1]
     G = A + 1j * B
     return (G + np.conjugate(np.swapaxes(G, -1, -2))) / math.sqrt(4.0 * N)
 
-def phase_scale_numpy(V, w, sqrt_h):
+
+def phase_scale(V, w, sqrt_h):
     """exp(i sqrt(h) H) from the eigensystem of H: (V * e^{i sqrt(h) w}) V^H."""
     phases = np.exp(1j * sqrt_h * w)
     return (V * phases[..., None, :]) @ np.conjugate(np.swapaxes(V, -1, -2))
-
-
-USE_NUMBA = _want_numba()
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _assemble_gue_nb(A, B):
-            P, N, _ = A.shape
-            out = np.empty((P, N, N), dtype=np.complex128)
-            scale = 1.0 / math.sqrt(4.0 * N)
-            for p in range(P):
-                for r in range(N):
-                    for c in range(N):
-                        re = (A[p, r, c] + A[p, c, r]) * scale
-                        im = (B[p, r, c] - B[p, c, r]) * scale
-                        out[p, r, c] = complex(re, im)
-            return out
-
-        @njit(cache=True)
-        def _phase_scale_nb(V, w, sqrt_h):
-            P, N, _ = V.shape
-            out = np.empty((P, N, N), dtype=np.complex128)
-            scaled = np.empty((N, N), dtype=np.complex128)
-            for p in range(P):
-                for c in range(N):
-                    ph = complex(math.cos(sqrt_h * w[p, c]), math.sin(sqrt_h * w[p, c]))
-                    for r in range(N):
-                        scaled[r, c] = V[p, r, c] * ph
-                out[p] = scaled @ np.conjugate(V[p].T)
-            return out
-
-        def assemble_gue(A, B):
-            if A.ndim == 2:
-                return _assemble_gue_nb(A[None], B[None])[0]
-            return _assemble_gue_nb(A, B)
-
-        def phase_scale(V, w, sqrt_h):
-            if V.ndim == 2:
-                return _phase_scale_nb(V[None], w[None], sqrt_h)[0]
-            return _phase_scale_nb(V, w, sqrt_h)
-
-    except ImportError:  # numba requested but unavailable
-        USE_NUMBA = False
-        assemble_gue = assemble_gue_numpy
-        phase_scale = phase_scale_numpy
-else:
-    assemble_gue = assemble_gue_numpy
-    phase_scale = phase_scale_numpy

@@ -3,13 +3,15 @@
 The central device is a moment engine for families of mutually free "colors":
 a word of letters, each tagged with a color and an element id, is evaluated by
 the non-crossing cumulant sum restricted to color-homogeneous partitions
-(mixed free cumulants vanish). Per-color joint cumulants are obtained by
-Moebius inversion of per-color joint moments, which each color supplies:
+(mixed free cumulants vanish), run as the first-block recursion of
+``ncpart.first_block_splits``. Per-color joint cumulants come from the same
+recursion, inverted, over per-color joint moments, which each color supplies:
 
 - atomic components of the initial law give exact rational joint moments;
 - a unitary Brownian motion color reduces multi-time words to words in its
   left increments (mutually free, single-time laws) and recurses;
-- a single increment collapses words in g, g* to a power g^k by unitarity.
+- a single increment collapses words in g, g* to a power g^k by unitarity,
+  whose moment is Biane's closed form.
 
 On top of the engine sit the oracle states sigma0^fr (free product, constant
 in time) and sigma0^lib (liberation process), their free-BM extensions
@@ -19,47 +21,30 @@ cumulants and the Kreweras complement.
 
 from __future__ import annotations
 
-import itertools
+import math
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
 from . import ncalg
 from .errors import DegreeOverflow, SizeLimit, UnsupportedState, UnsupportedWord
 from .ncalg import NCPolynomial, Word, Xs
-from .ncpart import CumulantFunctional, _nc_cached, kreweras
+from .ncpart import CumulantFunctional, _nc_cached, first_block_splits, kreweras
 
 WORD_LENGTH_CAP = 40
 
 
 # ---------------------------------------------------------------------------
-# Free unitary Brownian motion moments (large-N moment ODE)
-
-
-@lru_cache(maxsize=None)
-def _fubm_moments_upto(n_max: int, t: float):
-    """Integrate m_j' = -(j/2) m_j - (j/2) sum_{k=1}^{j-1} m_k m_{j-k} to time t."""
-    from scipy.integrate import solve_ivp
-
-    if t == 0.0:
-        return (1.0,) * n_max
-
-    def rhs(_, m):
-        out = np.empty(n_max)
-        for j in range(1, n_max + 1):
-            conv = sum(m[k - 1] * m[j - k - 1] for k in range(1, j))
-            out[j - 1] = -0.5 * j * (m[j - 1] + conv)
-        return out
-
-    sol = solve_ivp(
-        rhs, (0.0, t), np.ones(n_max), method="DOP853", rtol=1e-12, atol=1e-14
-    )
-    return tuple(sol.y[:, -1])
+# Free unitary Brownian motion moments (Biane's closed form)
 
 
 def free_ubm_moment(n: int, t) -> float:
-    """n-th moment of one free unitary Brownian motion at time t."""
+    """n-th moment of one free unitary Brownian motion at time t:
+    e^{-nt/2} sum_{k<n} (-t)^k/k! n^{k-1} C(n, k+1) (Biane 1997).
+
+    The alternating polynomial cancels catastrophically in floats for large
+    n, so it is summed exactly in the rational value of t.
+    """
     if n < 0:
         raise ValueError("moment order must be >= 0")
     t = float(t)
@@ -67,7 +52,12 @@ def free_ubm_moment(n: int, t) -> float:
         raise ValueError("time must be >= 0")
     if n == 0:
         return 1.0
-    return _fubm_moments_upto(n, t)[n - 1]
+    x = Fraction(t)
+    poly = sum(
+        (-x) ** k / math.factorial(k) * Fraction(n) ** (k - 1) * math.comb(n, k + 1)
+        for k in range(n)
+    )
+    return float(poly) * math.exp(-n * t / 2)
 
 
 # ---------------------------------------------------------------------------
@@ -227,28 +217,16 @@ class FreeMomentEngine:
         hit = self._moment_memo.get(letters)
         if hit is not None:
             return hit
-        color0, elem0 = letters[0]
+        color0 = letters[0][0]
         positions = [p for p in range(1, len(letters)) if letters[p][0] == color0]
         total = 0
-        for r in range(len(positions) + 1):
-            for chosen in itertools.combinations(positions, r):
-                block_elems = (elem0,) + tuple(letters[p][1] for p in chosen)
-                kap = self._cumulant(color0, block_elems)
-                if kap == 0:
-                    continue
-                prod = kap
-                bounds = (0,) + chosen
-                ok = True
-                for a, b in zip(bounds, bounds[1:]):
-                    sub = self._moment(letters[a + 1 : b])
-                    if sub == 0:
-                        ok = False
-                        break
-                    prod = prod * sub
-                if not ok:
-                    continue
-                tail = self._moment(letters[bounds[-1] + 1 :])
-                prod = prod * tail
+        for block, gaps in first_block_splits(len(letters), positions):
+            prod = self._cumulant(color0, tuple(letters[p][1] for p in block))
+            for a, b in gaps:
+                if prod == 0:
+                    break
+                prod = prod * self._moment(letters[a:b])
+            if prod != 0:
                 total = total + prod
         self._moment_memo[letters] = total
         return total
@@ -349,13 +327,22 @@ class TraceState:
                     out.append((("v", sym.i), (sym.t, e)))
         return tuple(out)
 
+    def _word_moment(self, word: Word):
+        letters = self._letters(word)
+        if len(letters) > WORD_LENGTH_CAP:
+            raise DegreeOverflow(
+                "word of %d letters expands to %d engine letters, over the cap of %d"
+                % (len(word), len(letters), WORD_LENGTH_CAP)
+            )
+        return self.engine.moment(letters)
+
     def extended_moment(self, p) -> complex:
         """tau-tilde of a mixed X/V polynomial."""
         if isinstance(p, Word):
-            return self.engine.moment(self._letters(p))
+            return self._word_moment(p)
         total = 0
         for word, coeff in p.terms.items():
-            total = total + coeff * self.engine.moment(self._letters(word))
+            total = total + coeff * self._word_moment(word)
         return total
 
     def moment(self, p) -> complex:

@@ -1,12 +1,13 @@
 """Non-crossing partition combinatorics.
 
-Provides enumeration of NC(n), the Kreweras complement, and the Moebius
-inversion between moments and free cumulants (joint, multiplicative over
-blocks).
+Provides enumeration of NC(n) and the Kreweras complement (used by the
+Prop 8.1 expansion), and the moment-cumulant relation between joint moments
+and free cumulants, computed by the first-block recursion over subsets.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 from .errors import SizeLimit
@@ -176,17 +177,45 @@ def kreweras(pi: NonCrossingPartition) -> NonCrossingPartition:
     return NonCrossingPartition(blocks, n)
 
 
+def first_block_splits(k: int, positions):
+    """Split 0..k-1 by the block that holds position 0.
+
+    For each subset S of ``positions`` (sorted, all > 0), yields the block
+    ``(0,) + S`` and the nonempty ranges ``(a, b)`` (half-open) between
+    consecutive block elements and after the last one. Every non-crossing
+    partition of 0..k-1 whose first block is that block is the union of the
+    block with non-crossing partitions of those ranges, which gives
+    ``m(a) = sum over blocks of kappa(a_block) * prod of m(a[a:b])``
+    (Nica-Speicher, Lecture 11). Subsets come in order of size.
+    """
+    positions = tuple(positions)
+    for r in range(len(positions) + 1):
+        for chosen in itertools.combinations(positions, r):
+            block = (0,) + chosen
+            ends = chosen + (k,)
+            yield block, tuple((a + 1, b) for a, b in zip(block, ends) if b > a + 1)
+
+
 class CumulantFunctional:
-    """Joint free cumulants of a moment functional, by Moebius inversion on NC.
+    """Joint free cumulants of a moment functional, by the first-block
+    recursion ``kappa(a) = m(a) - sum_{block != all} kappa(a_block) prod m(gaps)``.
 
     ``moment`` maps a tuple of argument ids to a number (the trace of the
-    product in the given order). Cumulants are memoized per argument tuple;
-    ``kappa_pi`` is multiplicative over blocks.
+    product in the given order); it need not be tracial. Moments and
+    cumulants are memoized per argument tuple; ``kappa_pi`` is multiplicative
+    over blocks.
     """
 
     def __init__(self, moment):
-        self._moment = moment
+        self._moment_fn = moment
+        self._moments = {}
         self._cache = {}
+
+    def _moment(self, args):
+        hit = self._moments.get(args)
+        if hit is None:
+            hit = self._moments[args] = self._moment_fn(args)
+        return hit
 
     def kappa(self, args):
         args = tuple(args)
@@ -197,11 +226,15 @@ class CumulantFunctional:
             return hit
         k = len(args)
         val = self._moment(args)
-        if k > 1:
-            for pi in _nc_cached(k):
-                if len(pi.blocks) == 1:
-                    continue
-                val -= self.kappa_pi(pi, args)
+        for block, gaps in first_block_splits(k, range(1, k)):
+            if len(block) == k:
+                continue
+            term = self.kappa(tuple(args[e] for e in block))
+            for a, b in gaps:
+                if term == 0:
+                    break
+                term = term * self._moment(args[a:b])
+            val -= term
         self._cache[args] = val
         return val
 
@@ -218,17 +251,6 @@ class CumulantFunctional:
         if not args:
             return 1
         return sum(self.kappa_pi(pi, args) for pi in _nc_cached(len(args)))
-
-
-def moment_cumulant_transform(moment, n: int) -> CumulantFunctional:
-    """Cumulant functional for `moment`, usable for tuples up to length n.
-
-    `n` is advisory (the recursion works for any length within NC_ENUM_CAP);
-    it is validated against the enumeration cap up front.
-    """
-    if n > NC_ENUM_CAP:
-        raise SizeLimit("cumulant transform capped at n = %d" % NC_ENUM_CAP)
-    return CumulantFunctional(moment)
 
 
 def scalar_cumulants(moments, n: int):

@@ -306,7 +306,7 @@ def evaluate_word_trace(word: Word, family: InitialFamily, resolver) -> complex:
 
 
 def finite_n_moment_ode_check(n_max, T, N, paths, h=None, base_seed=0, sample_times=None):
-    """Empirical E[tr_N U(t)^n] against the large-N moment ODE.
+    """Empirical E[tr_N U(t)^n] against the large-N moments (Biane's closed form).
 
     Returns rows (n, t, empirical, ode, gap, stderr).
     """

@@ -143,6 +143,22 @@ class TestConsoleScript:
         capsys.readouterr()
 
 
+class TestUbmMomentsRunner:
+    def test_ode_and_gap_are_plain_numbers(self, tmp_path):
+        out = tmp_path / "u.csv"
+        code = run_main(
+            ["ubm-moments", "--N", "8", "--paths", "4", "--steps", "4", "--n-max", "3",
+             "--T", "1", "--out", str(out)]
+        )
+        assert code == 0
+        lines = [l for l in read_lines(out) if not l.startswith("#")]
+        header, rows = lines[0].split(","), [l.split(",") for l in lines[1:]]
+        assert rows
+        for row in rows:
+            float(row[header.index("ode")])
+            float(row[header.index("gap")])
+
+
 class TestProp81Runner:
     def test_residuals_small(self, tmp_path):
         out = tmp_path / "p.csv"

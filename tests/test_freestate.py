@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from liblab import ncalg
-from liblab.errors import NonXPolynomial, SizeLimit, UnsupportedWord
+from liblab.errors import DegreeOverflow, NonXPolynomial, SizeLimit, UnsupportedWord
 from liblab.freestate import (
     AtomicComponent,
     FreeProductState,
@@ -27,11 +27,29 @@ from liblab.ncalg import EMPTY_WORD, NCPolynomial, Vs, VsStar, Word, Xs
 
 
 def closed_form_moment(n, t):
-    """Independent closed form for the n-th free unitary BM moment."""
+    """Independent closed form for the n-th free unitary BM moment (float sum,
+    accurate to 1e-9 only for n <= ~20: the alternating terms cancel)."""
     return math.exp(-n * t / 2) * sum(
         (-t) ** k / math.factorial(k) * n ** (k - 1) * math.comb(n, k + 1)
         for k in range(n)
     )
+
+
+def ode_moments(n_max, t):
+    """Independent reference: integrate the large-N moment ODE
+    m_j' = -(j/2) m_j - (j/2) sum_{k=1}^{j-1} m_k m_{j-k}, m_j(0) = 1, to time t."""
+    import numpy as np
+    from scipy.integrate import solve_ivp
+
+    def rhs(_, m):
+        out = np.empty(n_max)
+        for j in range(1, n_max + 1):
+            conv = sum(m[k - 1] * m[j - k - 1] for k in range(1, j))
+            out[j - 1] = -0.5 * j * (m[j - 1] + conv)
+        return out
+
+    sol = solve_ivp(rhs, (0.0, t), np.ones(n_max), method="DOP853", rtol=1e-12, atol=1e-14)
+    return [float(v) for v in sol.y[:, -1]]
 
 
 def two_projections(correlated=False):
@@ -83,6 +101,10 @@ class TestFreeUbmMoment:
         for n in range(1, 7):
             for t in (0.3, 1.0, 2.5, 5.0):
                 assert abs(free_ubm_moment(n, t) - closed_form_moment(n, t)) < 1e-9
+        for t in (0.3, 1.0, 2.5, 5.0):
+            ode = ode_moments(40, t)
+            for n in (1, 2, 3, 6, 24, 40):
+                assert abs(free_ubm_moment(n, t) - ode[n - 1]) < 1e-9
 
 
 class TestFreeProduct:
@@ -372,3 +394,12 @@ class TestErrors:
         p = NCPolynomial.from_word(Word((Vs(1, 1),)))
         with pytest.raises(NonXPolynomial):
             ncalg.liberation_derivation(p, 1, 0)
+
+    def test_overflow_names_user_word_length(self):
+        # 14 liberated letters expand to 42 engine letters (u x u* each)
+        state = LiberationState(two_projections(), 2)
+        w = Word(tuple(Xs(1 + q % 2, 1, 1) for q in range(14)))
+        with pytest.raises(DegreeOverflow) as err:
+            state.moment(w)
+        assert "14" in str(err.value)
+        assert "42" in str(err.value)

@@ -1,6 +1,7 @@
 """Non-crossing partition combinatorics."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,8 @@ from liblab.ncpart import (
     SetPartition,
     catalan,
     enumerate_nc,
+    first_block_splits,
     kreweras,
-    moment_cumulant_transform,
     scalar_cumulants,
 )
 
@@ -106,7 +107,7 @@ class TestKreweras:
 
 class TestMomentCumulant:
     def test_identity_element(self):
-        cf = moment_cumulant_transform(lambda args: 1, 6)
+        cf = CumulantFunctional(lambda args: 1)
         assert cf.kappa(("a",)) == 1
         for k in range(2, 7):
             assert cf.kappa(("a",) * k) == 0
@@ -147,10 +148,6 @@ class TestMomentCumulant:
             args = ("y",) * k
             assert abs(cf.moment_from_cumulants(args) - moments[k - 1]) < 1e-12
 
-    def test_transform_size_guard(self):
-        with pytest.raises(SizeLimit):
-            moment_cumulant_transform(lambda args: 1, 15)
-
     def test_kappa_pi_multiplicative(self):
         kappas = scalar_cumulants([1, 2, 6, 22], 4)
         cf = CumulantFunctional(lambda args: [1, 2, 6, 22][len(args) - 1])
@@ -159,3 +156,37 @@ class TestMomentCumulant:
             for b in p.blocks:
                 expected *= kappas[len(b)]
             assert cf.kappa_pi(p, ("a",) * 4) == expected
+
+    def test_round_trip_mixed_non_tracial(self):
+        # A vector state X -> X[0][0] on 3x3 rational matrices is not tracial,
+        # so every gap must be the exact contiguous slice of the arguments.
+        F = Fraction
+        mats = {
+            "a": [[F(1, 2), F(1), F(0)], [F(0), F(-1, 3), F(2)], [F(1), F(0), F(1, 4)]],
+            "b": [[F(0), F(2, 3), F(1)], [F(1, 5), F(1), F(0)], [F(-1), F(1, 2), F(0)]],
+            "c": [[F(1), F(0), F(-1, 2)], [F(3), F(0), F(1)], [F(0), F(1, 3), F(-2)]],
+        }
+
+        def moment(args):
+            vec = [F(1), F(0), F(0)]
+            for a in args:
+                vec = [sum(vec[i] * mats[a][i][j] for i in range(3)) for j in range(3)]
+            return vec[0]
+
+        assert moment(("a", "b")) != moment(("b", "a"))
+        rng = random.Random(11)
+        words = [("a", "b", "a", "c", "a", "b", "c", "a")]
+        words += [tuple(rng.choice("abc") for _ in range(k)) for k in range(1, 9) for _ in range(6)]
+        cf = CumulantFunctional(moment)
+        for args in words:
+            assert cf.moment_from_cumulants(args) == moment(args)
+
+    def test_first_block_splits(self):
+        splits = list(first_block_splits(6, (2, 5)))
+        assert splits == [
+            ((0,), ((1, 6),)),
+            ((0, 2), ((1, 2), (3, 6))),
+            ((0, 5), ((1, 5),)),
+            ((0, 2, 5), ((1, 2), (3, 5))),
+        ]
+        assert len(list(first_block_splits(9, range(1, 9)))) == 2**8
