@@ -5,8 +5,10 @@ prop81-check, rate-minimizer, bounds-51, metric.
 
 Every output file is self-describing: a ``#``-prefixed header echoes the tool
 version, schema version, and the full resolved configuration (including the
-seed). Config files are INI-style (one section per subcommand); command-line
-flags override config values.
+seed of the four stochastic subcommands). Config files are INI-style (one
+section per subcommand); command-line flags override config values. An
+``--out`` file is opened before the run and written through a temporary file
+beside it, so it is never left half-written.
 
 Exit codes: 0 success, 2 configuration error, 3 numeric domain error, 4 I/O.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import os
 import sys
@@ -32,23 +35,6 @@ from .freestate import (
 from .ncalg import Word, Xs
 
 SCHEMA_VERSION = 1
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("LIBLAB_THREADS")
-    if not cap:
-        return
-    try:
-        limit = int(cap)
-    except ValueError:
-        raise ConfigError("LIBLAB_THREADS must be an integer, got %r" % cap)
-    try:
-        from threadpoolctl import threadpool_limits
-
-        threadpool_limits(limits=limit)
-    except ImportError:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(limit))
 
 
 # ---------------------------------------------------------------------------
@@ -83,22 +69,34 @@ def projection_test_words(times, max_len=4):
 # Output plumbing
 
 
-def _write_csv(path, config_echo, columns, rows):
-    def emit(fh):
-        fh.write("# liberation-lab %s\n" % __version__)
-        fh.write("# schema = %d\n" % SCHEMA_VERSION)
-        for key, val in sorted(config_echo.items()):
-            fh.write("# %s = %s\n" % (key, val))
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(row)
-
+@contextlib.contextmanager
+def _output(path):
+    """Yield the CSV handle: stdout, or a temporary file beside ``path`` that
+    replaces ``path`` only once the block completes."""
     if path is None or path == "-":
-        emit(sys.stdout)
-    else:
-        with open(path, "w", newline="") as fh:
-            emit(fh)
+        yield sys.stdout
+        return
+    if os.path.isdir(path):
+        raise IsADirectoryError("output path %s is a directory" % path)
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _write_csv(fh, config_echo, columns, rows):
+    fh.write("# liberation-lab %s\n" % __version__)
+    fh.write("# schema = %d\n" % SCHEMA_VERSION)
+    for key, val in sorted(config_echo.items()):
+        fh.write("# %s = %s\n" % (key, val))
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow(row)
 
 
 def _complex_cols(name):
@@ -147,13 +145,7 @@ def run_chi_orb(cfg):
     spec = ratefn.NeighborhoodSpec(cfg["m"], cfg["delta"])
     rows = []
     for N in cfg["N_list"]:
-        family = rmt.build_initial_family(
-            [
-                MarginalLaw(1, atoms=[1, 0], weights=[Fraction(1, 2), Fraction(1, 2)]),
-                MarginalLaw(2, atoms=[1, 0], weights=[Fraction(1, 2), Fraction(1, 2)]),
-            ],
-            N,
-        )
+        family = rmt.build_initial_family(sigma0, N)
         logf, hits, samples = ratefn.chi_orb_mc(
             sigma, family, N, spec, cfg["samples"], cfg["seed"], n_motions=2
         )
@@ -169,12 +161,12 @@ def run_chi_orb(cfg):
     return ["N", "hits", "samples", "fraction", "log_fraction"], rows
 
 
-def _empirical_liberation(N, seed, grid, steps_per_unit=50):
+def _empirical_liberation(N, seed, grid, path=0, steps_per_unit=50):
     sigma0 = two_free_projections()
     family = rmt.build_initial_family(sigma0, N, strict=False)
     h = Fraction(1, steps_per_unit)
     times = [Fraction(t) for t in grid if Fraction(t) > 0]
-    traj = rmt.simulate_trajectory(N, 2, times, h, seed)
+    traj = rmt.simulate_trajectory(N, 2, times, h, seed, path)
     return ratefn.EmpiricalTrajectory(family, [traj])
 
 
@@ -186,7 +178,7 @@ def run_liberation_convergence(cfg):
     rows = []
     for N in cfg["N_list"]:
         for s in range(cfg["seeds"]):
-            emp = _empirical_liberation(N, cfg["seed"] ^ (s * 7919), grid)
+            emp = _empirical_liberation(N, cfg["seed"], grid, path=s)
             d = ratefn.trajectory_metric_d(
                 emp, oracle, cfg["m_max"], cfg["l_max"], grid, gen_ids=gen_ids
             )
@@ -330,7 +322,6 @@ _EXPERIMENTS = {
             "t_max": (float, 400.0),
             "points": (int, 50),
             "eps": (float, 0.9),
-            "seed": (int, 0),
         },
     ),
     "prop81-check": (
@@ -339,7 +330,6 @@ _EXPERIMENTS = {
             "n_motions": (int, 2),
             "n_words": (int, 4),
             "s_list": (_frac_list, [Fraction(1, 4), Fraction(3, 4)]),
-            "seed": (int, 0),
         },
     ),
     "rate-minimizer": (
@@ -348,7 +338,6 @@ _EXPERIMENTS = {
             "t_list": (_frac_list, [Fraction(1, 2), Fraction(1)]),
             "word_times": (_frac_list, [Fraction(1, 2)]),
             "max_len": (int, 2),
-            "seed": (int, 0),
         },
     ),
     "bounds-51": (
@@ -356,7 +345,6 @@ _EXPERIMENTS = {
         {
             "m_list": (_int_list, [1, 2, 3]),
             "T_list": (_frac_list, [Fraction(1, 2), Fraction(1), Fraction(2)]),
-            "seed": (int, 0),
         },
     ),
     "metric": (
@@ -428,6 +416,8 @@ def _validate(cfg):
         raise ConfigError("N list must be nonempty with N >= 1")
     if "delta" in cfg and not cfg["delta"] > 0:
         raise ConfigError("delta must be > 0")
+    if "seed" in cfg and cfg["seed"] < 0:
+        raise ConfigError("seed must be >= 0, got %d" % cfg["seed"])
 
 
 def main(argv=None):
@@ -437,13 +427,13 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:
-        _apply_thread_cap()
         cfg = _resolve_config(args)
         runner, _ = _EXPERIMENTS[args.experiment]
-        columns, rows = runner(cfg)
-        echo = {"experiment": args.experiment}
-        echo.update({k: v for k, v in cfg.items()})
-        _write_csv(getattr(args, "out", None), echo, columns, rows)
+        with _output(getattr(args, "out", None)) as fh:
+            columns, rows = runner(cfg)
+            echo = {"experiment": args.experiment}
+            echo.update({k: v for k, v in cfg.items()})
+            _write_csv(fh, echo, columns, rows)
     except ConfigError as exc:
         print("error: config: %s" % exc, file=sys.stderr)
         return 2

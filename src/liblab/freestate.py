@@ -405,25 +405,13 @@ def free_product_limit_state(sigma0: InitialLaw, n_motions: int) -> FreeProductS
     return FreeProductState(sigma0, n_motions)
 
 
-def liberation_state(sigma0: InitialLaw, n_motions: int) -> LiberationState:
-    return LiberationState(sigma0, n_motions)
-
-
-def liberation_state_moment(sigma0: InitialLaw, word: Word, n_motions: int) -> complex:
-    """sigma0^lib(word): one-shot evaluation (construct LiberationState to
-    batch many words against one cache)."""
-    return LiberationState(sigma0, n_motions).moment(word)
-
-
 def mixed_v_moment(word: Word, n_free: int) -> complex:
     """Moment of a word of V/V* letters under the free unitary BM family
     (v_i for i <= n_free, v_{n+1} = 1)."""
     for sym in word.letters:
         if sym.kind == ncalg.X:
             raise UnsupportedWord("mixed_v_moment takes V/V* words only")
-    state = TraceState.__new__(TraceState)
-    TraceState.__init__(state, InitialLaw([]), n_free)
-    return state.extended_moment(word)
+    return LiberationState(InitialLaw([]), n_free).extended_moment(word)
 
 
 # ---------------------------------------------------------------------------

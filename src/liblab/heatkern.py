@@ -129,10 +129,6 @@ def _invert_T_log_m1(T: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _invert_T_m1(T: float) -> float:
-    return math.exp(_invert_T_log_m1(T))
-
-
 # ---------------------------------------------------------------------------
 # Free energy and the sandwich
 
@@ -172,23 +168,27 @@ def _free_energy_from_m1(m1: float) -> float:
     )
 
 
-def free_energy_F(T: float) -> float:
-    """F(T) = lim (1/N^2) log p_{N,T}(I_N) on the branch T > pi^2."""
-    log_m1 = _invert_T_log_m1(T)
-    if log_m1 < math.log(1e-290):
-        # F ~ m1^2/128 ~ 2 e^{-T/2}, far below the smallest double here
-        return 0.0
-    return _free_energy_from_m1(math.exp(log_m1))
-
-
 class FreeEnergyPoint:
-    __slots__ = ("T", "k", "F")
+    """T with its m1 = 1 - k^2, modulus k and free energy F, from one inversion
+    of T. Past T ~ 150 k rounds to 1.0; m1 keeps the point's resolution."""
+
+    __slots__ = ("T", "m1", "k", "F")
 
     def __init__(self, T):
-        m1 = _invert_T_m1(T)
+        log_m1 = _invert_T_log_m1(T)
         self.T = T
-        self.k = math.sqrt(max(0.0, 1.0 - m1))
-        self.F = free_energy_F(T)
+        self.m1 = math.exp(log_m1)
+        self.k = math.sqrt(max(0.0, 1.0 - self.m1))
+        if log_m1 < math.log(1e-290):
+            # F ~ m1^2/128 ~ 2 e^{-T/2}, far below the smallest double here
+            self.F = 0.0
+        else:
+            self.F = _free_energy_from_m1(self.m1)
+
+
+def free_energy_F(T: float) -> float:
+    """F(T) = lim (1/N^2) log p_{N,T}(I_N) on the branch T > pi^2."""
+    return FreeEnergyPoint(T).F
 
 
 def liyau_sandwich(T: float, eps: float):

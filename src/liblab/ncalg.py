@@ -19,9 +19,6 @@ X = "X"
 V = "V"
 VSTAR = "V*"
 
-_COEFF_EPS = 0.0  # exact-zero pruning only; tiny float coefficients are kept
-
-
 def _as_time(t) -> Fraction:
     if isinstance(t, Fraction):
         return t
@@ -281,10 +278,6 @@ class NCPolynomial:
         return format_polynomial(self)
 
 
-def multiply(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
-    return p * q
-
-
 class TensorPolynomial:
     """Finite map (Word, Word) -> coefficient; target of the derivation."""
 
@@ -438,9 +431,6 @@ def pi_s_substitution(p: NCPolynomial, s, n: int) -> NCPolynomial:
         else:
             terms[w] = cur
     return NCPolynomial(terms)
-
-
-pi_s = pi_s_substitution
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,6 @@ class EmpiricalTrajectory:
 
 
 def _moment_of(evaluator, word):
-    if isinstance(evaluator, TraceState):
-        return evaluator.moment(word)
     if hasattr(evaluator, "moment"):
         return evaluator.moment(word)
     return evaluator(word)
@@ -145,8 +143,8 @@ def chi_orb_mc(sigma, family, N, spec: NeighborhoodSpec, samples, base_seed, n_m
     """Estimate log nu_N({U tuples whose rotated trace lands in O_{m,delta}}).
 
     Returns (log_fraction, hits, samples) where log_fraction is the tagged
-    NEG_INF on zero hits. Sample s draws its Haar tuple from seed
-    base_seed ^ s (one stream, motions in index order).
+    NEG_INF on zero hits. Sample s draws its Haar tuple from
+    ``rmt.path_rng(base_seed, s)`` (one stream, motions in index order).
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -155,7 +153,7 @@ def chi_orb_mc(sigma, family, N, spec: NeighborhoodSpec, samples, base_seed, n_m
     gen_ids = sorted(family.entries)
     hits = 0
     for s in range(samples):
-        rng = np.random.default_rng(base_seed ^ s)
+        rng = rmt.path_rng(base_seed, s)
         tup = rmt.HaarTuple({i: rmt.sample_haar(N, rng) for i in range(1, n_motions + 1)})
         emp = EmpiricalTrajectory(family, [tup])
         if neighborhood_member(emp, sigma, spec, gen_ids=gen_ids):

@@ -6,9 +6,11 @@ Gaussian generator normalized so E tr_N H^2 = 1. The exponential of the
 skew-Hermitian generator keeps every iterate exactly unitary; the matrix
 exponential is taken through the eigendecomposition of H.
 
-Determinism: Monte Carlo path p draws from ``default_rng(base_seed ^ p)``;
-within a path the draw order is fixed (per step, motions in index order,
-real part then imaginary part), so identical seeds give bit-identical runs.
+Seeding: every random draw in the package comes from ``path_rng(seed, path)``,
+a generator seeded by the NumPy ``SeedSequence([seed, path])``, so distinct
+(seed, path) pairs give independent streams. Within a path the draw order is
+fixed (per step, motions in index order, real part then imaginary part), so
+identical seeds give bit-identical runs.
 """
 
 from __future__ import annotations
@@ -125,7 +127,12 @@ def build_initial_family(marginals, N, strict=True) -> InitialFamily:
 
 
 # ---------------------------------------------------------------------------
-# Gaussian generators and Haar sampling
+# Random streams, Gaussian generators and Haar sampling
+
+
+def path_rng(seed, path):
+    """The random stream of path ``path`` under base seed ``seed``."""
+    return np.random.default_rng([seed, path])
 
 
 def gaussian_generator(N, rng):
@@ -135,14 +142,9 @@ def gaussian_generator(N, rng):
     return _kernels.assemble_gue(A, B)
 
 
-def sample_haar(N, seed_or_rng):
+def sample_haar(N, rng):
     """Exactly Haar-distributed unitary: QR of a Ginibre matrix with the
     triangular factor's diagonal phases folded back in."""
-    rng = (
-        seed_or_rng
-        if isinstance(seed_or_rng, np.random.Generator)
-        else np.random.default_rng(seed_or_rng)
-    )
     Z = (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) / math.sqrt(2.0)
     Q, R = np.linalg.qr(Z)
     d = np.diagonal(R)
@@ -165,8 +167,7 @@ class BatchedUBM:
         self.n = n_motions
         self.h = Fraction(h)
         self.paths = paths
-        self.base_seed = base_seed
-        self.rngs = [np.random.default_rng(base_seed ^ p) for p in range(paths)]
+        self.rngs = [path_rng(base_seed, p) for p in range(paths)]
         eye = np.eye(N, dtype=np.complex128)
         self.U = {i: np.tile(eye, (paths, 1, 1)) for i in range(1, n_motions + 1)}
         self.steps_done = 0
@@ -218,11 +219,10 @@ class BatchedUBM:
 class UnitaryTrajectory:
     """One path's unitaries at a stored set of grid times."""
 
-    def __init__(self, N, n_motions, h, seed, snapshots):
+    def __init__(self, N, n_motions, h, snapshots):
         self.N = N
         self.n = n_motions
         self.h = Fraction(h)
-        self.seed = seed
         self.snapshots = snapshots  # (i, time Fraction) -> matrix
 
     def unitary(self, i, t):
@@ -245,14 +245,16 @@ class UnitaryTrajectory:
 
 
 def simulate_trajectory(N, n_motions, sample_times, h, base_seed, path=0) -> UnitaryTrajectory:
-    """Simulate one path (seed = base_seed ^ path) and store the unitaries at
-    ``sample_times`` (each an exact multiple of h)."""
+    """Simulate path ``path`` of ``base_seed`` (the same stream as that path
+    of a BatchedUBM) and store the unitaries at ``sample_times`` (each an
+    exact multiple of h)."""
     h = Fraction(h)
     times = sorted(Fraction(t) for t in sample_times)
     for t in times:
         if t % h != 0:
             raise GridMiss("sample time %s is not a multiple of h=%s" % (t, h))
-    engine = BatchedUBM(N, n_motions, h, paths=1, base_seed=base_seed ^ path)
+    engine = BatchedUBM(N, n_motions, h, paths=1, base_seed=base_seed)
+    engine.rngs = [path_rng(base_seed, path)]
     snapshots = {}
 
     def grab(t, U):
@@ -261,7 +263,7 @@ def simulate_trajectory(N, n_motions, sample_times, h, base_seed, path=0) -> Uni
 
     horizon = times[-1] if times else Fraction(0)
     engine.run_until(horizon, snapshot_times=times, callback=grab)
-    return UnitaryTrajectory(N, n_motions, h, base_seed ^ path, snapshots)
+    return UnitaryTrajectory(N, n_motions, h, snapshots)
 
 
 class HaarTuple:

@@ -1,5 +1,6 @@
 """Command-line runner: exit codes, config/flag precedence, CSV output."""
 
+import inspect
 import subprocess
 import sys
 
@@ -56,6 +57,48 @@ class TestExitCodes:
         assert run_main(["not-an-experiment"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv", [["ubm-moments", "--seed", "-1"], ["chi-orb", "--seed", "-5"]]
+    )
+    def test_negative_seed_is_config_error(self, argv, monkeypatch, capsys):
+        _never_run(monkeypatch, argv[0])
+        assert run_main(argv) == 2
+        assert "seed must be >= 0, got %s" % argv[-1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["no_dir/x.csv", "."])
+    def test_bad_out_fails_before_run(self, target, tmp_path, monkeypatch, capsys):
+        # a missing directory, or a directory as the target
+        _never_run(monkeypatch, "heat-kernel")
+        code = run_main(["heat-kernel", "--out", str(tmp_path / target)])
+        assert code == 4
+        assert "error: io:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_run_leaves_no_file(self, tmp_path):
+        out = tmp_path / "x.csv"
+        code = run_main(
+            ["heat-kernel", "--points", "2", "--t-min", "1", "--out", str(out)]
+        )
+        assert code == 3
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_replaced_whole(self, tmp_path):
+        out = tmp_path / "x.csv"
+        out.write_text("stale\n")
+        assert run_main(["bounds-51", "--m-list", "1", "--T-list", "1", "--out", str(out)]) == 0
+        assert read_lines(out)[0] == "# liberation-lab %s" % __version__
+        assert list(tmp_path.iterdir()) == [out]
+
+
+def _never_run(monkeypatch, name):
+    """Replace a subcommand's runner by one that fails the test if called."""
+    _, schema = cli._EXPERIMENTS[name]
+
+    def runner(cfg):
+        raise AssertionError("runner of %s called" % name)
+
+    monkeypatch.setitem(cli._EXPERIMENTS, name, (runner, schema))
+
 
 class TestConfigPrecedence:
     def test_config_applies(self, tmp_path):
@@ -97,9 +140,14 @@ class TestCsvOutput:
         assert lines[1] == "# schema = 1"
         header = [l for l in lines if l.startswith("#")]
         assert any(l.startswith("# experiment = bounds-51") for l in header)
-        assert any(l.startswith("# seed = ") for l in header)
+        assert not any(l.startswith("# seed = ") for l in header)
         cols = [l for l in lines if not l.startswith("#")][0]
         assert cols == "m,T,lhs,rhs,margin"
+        # a stochastic subcommand echoes the seed it ran with
+        out = tmp_path / "u.csv"
+        argv = ["ubm-moments", "--N", "4", "--paths", "2", "--steps", "2", "--n-max", "1"]
+        assert run_main(argv + ["--seed", "5", "--out", str(out)]) == 0
+        assert "# seed = 5" in read_lines(out)
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -132,15 +180,32 @@ class TestConsoleScript:
         assert res.returncode == 0
         assert __version__ in res.stdout
 
-    def test_thread_cap_rejects_garbage(self, monkeypatch, capsys):
-        monkeypatch.setenv("LIBLAB_THREADS", "lots")
-        assert run_main(["bounds-51", "--m-list", "1", "--T-list", "1"]) == 2
-        capsys.readouterr()
 
-    def test_thread_cap_accepts_int(self, monkeypatch, capsys):
-        monkeypatch.setenv("LIBLAB_THREADS", "1")
-        assert run_main(["bounds-51", "--m-list", "1", "--T-list", "1"]) == 0
-        capsys.readouterr()
+class TestConfigSchema:
+    def test_every_key_is_read(self):
+        # a key the runner never reads is an option that does nothing
+        unread = [
+            (name, key)
+            for name, (runner, schema) in cli._EXPERIMENTS.items()
+            for key in schema
+            if 'cfg["%s"]' % key not in inspect.getsource(runner)
+        ]
+        assert unread == []
+
+
+class TestSeeding:
+    def test_seeds_share_no_trajectory(self, tmp_path):
+        # trajectory s is path s of --seed; under the old seed ^ (s * 7919)
+        # rule, trajectory 1 of seed 7919 was trajectory 0 of seed 0
+        argv = ["liberation-convergence", "--N-list", "4", "--seeds", "3", "--grid", "0,1/2",
+                "--m-max", "1", "--l-max", "2"]
+        ds = {}
+        for seed in (0, 7919):
+            out = tmp_path / ("s%d.csv" % seed)
+            assert run_main(argv + ["--seed", str(seed), "--out", str(out)]) == 0
+            rows = [l.split(",") for l in read_lines(out) if not l.startswith("#")][1:]
+            ds[seed] = [row[2] for row in rows]
+        assert len(set(ds[0]) | set(ds[7919])) == 6
 
 
 class TestUbmMomentsRunner:

@@ -20,7 +20,6 @@ from liblab.freestate import (
     free_product_moment,
     free_ubm_moment,
     lemma51_bound_check,
-    liberation_state_moment,
     mixed_v_moment,
 )
 from liblab.ncalg import EMPTY_WORD, NCPolynomial, Vs, VsStar, Word, Xs
@@ -196,7 +195,7 @@ class TestLiberationState:
         sigma0 = two_projections()
         for t in (0, F(1, 2), 3):
             w = Word((Xs(1, 1, t),))
-            assert liberation_state_moment(sigma0, w, 2) == F(1, 2)
+            assert LiberationState(sigma0, 2).moment(w) == F(1, 2)
 
     def test_all_times_zero_reduces_to_sigma0(self):
         sigma0 = two_projections(correlated=True)

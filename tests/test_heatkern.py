@@ -119,7 +119,7 @@ class TestInvertT:
         k = invert_T(100.0)
         assert abs(T_of_k(k) - 100.0) < 1e-4 * 100.0
         for T in (100.0, 400.0, 1000.0):
-            m1 = heatkern._invert_T_m1(T)
+            m1 = FreeEnergyPoint(T).m1
             assert abs(heatkern._T_of_m1(m1) - T) < 1e-9 * T
         assert invert_T(400.0) == 1.0
 
@@ -185,6 +185,11 @@ class TestFreeEnergy:
     def test_point_invariant(self):
         pt = FreeEnergyPoint(40.0)
         assert abs(T_of_k(pt.k) - 40.0) < 1e-8 * 40.0
+        # past T ~ 150 k rounds to 1.0 and T_of_k(k) would raise; m1 does not
+        pt = FreeEnergyPoint(200.0)
+        assert pt.k == 1.0
+        assert abs(heatkern._T_of_m1(pt.m1) - 200.0) < 1e-9 * 200.0
+        assert pt.F == heatkern.free_energy_F(200.0)
 
 
 class TestSandwich:

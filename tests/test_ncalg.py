@@ -20,7 +20,6 @@ from liblab.ncalg import (
     format_polynomial,
     format_word,
     liberation_derivation,
-    multiply,
     parse_polynomial,
     parse_word,
     pi_s_substitution,
@@ -47,8 +46,8 @@ class TestWords:
         for _ in range(20):
             w = rand_x_word(rng)
             p = NCPolynomial.from_word(w)
-            assert multiply(NCPolynomial.scalar(1), p) == p
-            assert multiply(p, NCPolynomial.scalar(1)) == p
+            assert NCPolynomial.scalar(1) * p == p
+            assert p * NCPolynomial.scalar(1) == p
 
     def test_unitarity_cancellation(self):
         t = F(1, 2)

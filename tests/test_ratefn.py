@@ -72,7 +72,7 @@ class TestEmpiricalTrajectory:
         fam = rmt.build_initial_family(
             [MarginalLaw(1, atoms=[1, 0], weights=[F(1, 2), F(1, 2)])], 4
         )
-        tup = rmt.HaarTuple({1: rmt.sample_haar(4, 0)})
+        tup = rmt.HaarTuple({1: rmt.sample_haar(4, rmt.path_rng(0, 0))})
         emp = EmpiricalTrajectory(fam, [tup])
         w = Word((Xs(1, 1, 0),))
         assert abs(emp.moment(w) - 0.5) < 1e-12
@@ -86,7 +86,12 @@ class TestEmpiricalTrajectory:
             8,
         )
         tups = [
-            rmt.HaarTuple({1: rmt.sample_haar(8, s), 2: rmt.sample_haar(8, 100 + s)})
+            rmt.HaarTuple(
+                {
+                    1: rmt.sample_haar(8, rmt.path_rng(s, 0)),
+                    2: rmt.sample_haar(8, rmt.path_rng(100 + s, 0)),
+                }
+            )
             for s in range(2)
         ]
         emp = EmpiricalTrajectory(fam, tups)

@@ -89,7 +89,7 @@ class TestGaussianGenerator:
 
 class TestHaar:
     def test_unitary(self):
-        U = rmt.sample_haar(16, 3)
+        U = rmt.sample_haar(16, rmt.path_rng(3, 0))
         assert np.allclose(U @ U.conj().T, np.eye(16), atol=1e-12)
 
     def test_mean_trace_vanishes(self):
@@ -111,7 +111,9 @@ class TestHaar:
         assert abs(np.mean(vals)) < 0.05
 
     def test_seed_determinism(self):
-        assert np.array_equal(rmt.sample_haar(8, 7), rmt.sample_haar(8, 7))
+        assert np.array_equal(
+            rmt.sample_haar(8, rmt.path_rng(7, 0)), rmt.sample_haar(8, rmt.path_rng(7, 0))
+        )
 
 
 class TestTrajectory:
@@ -122,10 +124,22 @@ class TestTrajectory:
         for key in t1.snapshots:
             assert np.array_equal(t1.snapshots[key], t2.snapshots[key])
 
-    def test_path_seed_xor(self):
-        t0 = rmt.simulate_trajectory(4, 1, [F(1, 10)], F(1, 10), base_seed=8, path=3)
-        t1 = rmt.simulate_trajectory(4, 1, [F(1, 10)], F(1, 10), base_seed=8 ^ 3, path=0)
-        assert np.array_equal(t0.snapshots[(1, F(1, 10))], t1.snapshots[(1, F(1, 10))])
+    def test_path_is_batched_path(self):
+        t = rmt.simulate_trajectory(4, 2, [F(1, 5)], F(1, 10), base_seed=8, path=3)
+        eng = rmt.BatchedUBM(4, 2, F(1, 10), paths=4, base_seed=8)
+        eng.run_until(F(1, 5))
+        for i in (1, 2):
+            assert np.array_equal(t.snapshots[(i, F(1, 5))], eng.U[i][3])
+
+    def test_seeds_give_distinct_ensembles(self):
+        # path p of seed S draws from SeedSequence([S, p]): no two (S, p) pairs
+        # share a stream, so seeds 0..3 with 16 paths each give 64 distinct paths
+        seen = set()
+        for seed in range(4):
+            eng = rmt.BatchedUBM(4, 1, F(1, 10), paths=16, base_seed=seed)
+            eng.step()
+            seen.update(U.tobytes() for U in eng.U[1])
+        assert len(seen) == 4 * 16
 
     def test_unitarity_drift(self):
         t = rmt.simulate_trajectory(16, 1, [F(2)], F(1, 100), base_seed=13)
@@ -185,7 +199,9 @@ class TestWordTrace:
 
     def test_haar_tuple_ignores_time(self):
         fam = rmt.build_initial_family(proj_marginals(), 8)
-        tup = rmt.HaarTuple({1: rmt.sample_haar(8, 1), 2: rmt.sample_haar(8, 2)})
+        tup = rmt.HaarTuple(
+            {1: rmt.sample_haar(8, rmt.path_rng(1, 0)), 2: rmt.sample_haar(8, rmt.path_rng(2, 0))}
+        )
         w1 = rmt.evaluate_word_trace(Word((Xs(1, 1, 0), Xs(2, 1, 0))), fam, tup)
         w2 = rmt.evaluate_word_trace(Word((Xs(1, 1, 5), Xs(2, 1, 5))), fam, tup)
         assert w1 == w2
