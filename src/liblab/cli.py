@@ -408,14 +408,27 @@ def _resolve_config(args):
     return cfg
 
 
+# Sizes and counts: zero or less would fail deep in a run, or write an empty
+# table or a vacuous d = 0.
+_COUNT_KEYS = (
+    "N", "paths", "samples", "seeds", "steps", "n_max", "m", "m_max", "l_max",
+    "points", "n_words", "n_motions", "max_len",
+)
+_COUNT_LIST_KEYS = ("N_list", "m_list")
+
+
 def _validate(cfg):
-    for key in ("N", "paths", "samples", "seeds", "steps"):
+    for key in _COUNT_KEYS:
         if key in cfg and cfg[key] < 1:
-            raise ConfigError("%s must be >= 1" % key)
-    if "N_list" in cfg and (not cfg["N_list"] or min(cfg["N_list"]) < 1):
-        raise ConfigError("N list must be nonempty with N >= 1")
+            raise ConfigError("%s must be >= 1, got %d" % (key, cfg[key]))
+    for key in _COUNT_LIST_KEYS:
+        if key in cfg and (not cfg[key] or min(cfg[key]) < 1):
+            raise ConfigError(
+                "%s must be nonempty with every entry >= 1, got %s"
+                % (key, ",".join(map(str, cfg[key])) or "an empty list")
+            )
     if "delta" in cfg and not cfg["delta"] > 0:
-        raise ConfigError("delta must be > 0")
+        raise ConfigError("delta must be > 0, got %r" % cfg["delta"])
     if "seed" in cfg and cfg["seed"] < 0:
         raise ConfigError("seed must be >= 0, got %d" % cfg["seed"])
 

@@ -43,14 +43,21 @@ def words_up_to(n_rows, n_cols, max_len, times=(None,)):
 
 class EmpiricalTrajectory:
     """Word-moment evaluator averaging matrix traces over one or more
-    resolved paths (trajectories or Haar tuples) of a fixed initial family."""
+    resolved paths (trajectories or Haar tuples) of a fixed initial family.
+
+    Each resolver has its own letter memo, so a letter's matrix is formed
+    once per resolver however many words use it."""
 
     def __init__(self, family, resolvers):
         self.family = family
         self.resolvers = list(resolvers)
+        self._letters = [{} for _ in self.resolvers]
 
     def moment(self, word: Word) -> complex:
-        vals = [rmt.evaluate_word_trace(word, self.family, r) for r in self.resolvers]
+        vals = [
+            rmt.evaluate_word_trace(word, self.family, r, memo)
+            for r, memo in zip(self.resolvers, self._letters)
+        ]
         return complex(np.mean(vals))
 
 

@@ -277,30 +277,44 @@ class HaarTuple:
         return self.unitaries[i]
 
 
-def evaluate_word_trace(word: Word, family: InitialFamily, resolver) -> complex:
+def _letter(sym, family, resolver):
+    """The matrix of one letter: U_i(t) xi_ij U_i(t)^* for X(i,j,t) with
+    i <= n (xi_ij unconjugated for i > n), U_i(t) or U_i(t)^* for V and V*,
+    and None for v_{n+1} := 1."""
+    n = getattr(resolver, "n", 0)
+    if sym.kind == ncalg.X:
+        xi = family.matrix((sym.i, sym.j))
+        if sym.i > n:
+            return xi
+        U = resolver.unitary(sym.i, sym.t)
+        return U @ xi @ U.conj().T
+    if sym.i > n:
+        return None
+    U = resolver.unitary(sym.i, sym.t)
+    return U if sym.kind == ncalg.V else U.conj().T
+
+
+def evaluate_word_trace(word: Word, family: InitialFamily, resolver, letters=None) -> complex:
     """Normalized trace of the word with X(i,j,t) -> U_i(t) xi_ij U_i(t)^*
     for i <= n (unconjugated for i > n) and V(i,t) -> U_i(t).
 
     ``resolver`` is a UnitaryTrajectory or HaarTuple; GridMiss propagates for
-    off-grid times.
+    off-grid times. ``letters`` is an optional memo from letter to matrix,
+    valid for this one (family, resolver) pair; each letter is formed once
+    and a letter that fails is not stored.
     """
-    N = family.N
-    M = np.eye(N, dtype=np.complex128)
-    n = getattr(resolver, "n", 0)
+    if letters is None:
+        letters = {}
+    M = None
     for sym in word.letters:
-        if sym.kind == ncalg.X:
-            xi = family.matrix((sym.i, sym.j))
-            if sym.i <= n:
-                U = resolver.unitary(sym.i, sym.t)
-                M = M @ (U @ xi @ U.conj().T)
-            else:
-                M = M @ xi
-        else:
-            if sym.i > n:
-                continue  # v_{n+1} := 1
-            U = resolver.unitary(sym.i, sym.t)
-            M = M @ (U if sym.kind == ncalg.V else U.conj().T)
-    return complex(np.trace(M) / N)
+        if sym not in letters:
+            letters[sym] = _letter(sym, family, resolver)
+        L = letters[sym]
+        if L is not None:
+            M = L if M is None else M @ L
+    if M is None:
+        return complex(1.0)
+    return complex(np.trace(M) / family.N)
 
 
 # ---------------------------------------------------------------------------

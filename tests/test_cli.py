@@ -65,6 +65,34 @@ class TestExitCodes:
         assert run_main(argv) == 2
         assert "seed must be >= 0, got %s" % argv[-1] in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ubm-moments", "--N", "0"], "N must be >= 1, got 0"),
+            (["ubm-moments", "--paths", "-2"], "paths must be >= 1, got -2"),
+            (["ubm-moments", "--steps", "0"], "steps must be >= 1, got 0"),
+            (["ubm-moments", "--n-max", "0"], "n_max must be >= 1, got 0"),
+            (["liberation-convergence", "--seeds", "0"], "seeds must be >= 1, got 0"),
+            (["liberation-convergence", "--N-list", "16,0"], "N_list must be nonempty with every entry >= 1, got 16,0"),
+            (["liberation-convergence", "--N-list", ""], "N_list must be nonempty with every entry >= 1, got an empty list"),
+            (["chi-orb", "--m", "0"], "m must be >= 1, got 0"),
+            (["chi-orb", "--samples", "0"], "samples must be >= 1, got 0"),
+            (["chi-orb", "--delta", "-1"], "delta must be > 0, got -1.0"),
+            (["metric", "--m-max", "0"], "m_max must be >= 1, got 0"),
+            (["metric", "--l-max", "0"], "l_max must be >= 1, got 0"),
+            (["heat-kernel", "--points", "0"], "points must be >= 1, got 0"),
+            (["prop81-check", "--n-words", "0"], "n_words must be >= 1, got 0"),
+            (["prop81-check", "--n-motions", "0"], "n_motions must be >= 1, got 0"),
+            (["rate-minimizer", "--max-len", "0"], "max_len must be >= 1, got 0"),
+            (["bounds-51", "--m-list", "0"], "m_list must be nonempty with every entry >= 1, got 0"),
+            (["bounds-51", "--m-list", "2,-1"], "m_list must be nonempty with every entry >= 1, got 2,-1"),
+        ],
+    )
+    def test_nonpositive_count_is_config_error(self, argv, message, monkeypatch, capsys):
+        _never_run(monkeypatch, argv[0])
+        assert run_main(argv) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("target", ["no_dir/x.csv", "."])
     def test_bad_out_fails_before_run(self, target, tmp_path, monkeypatch, capsys):
         # a missing directory, or a directory as the target

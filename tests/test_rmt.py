@@ -7,10 +7,11 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from liblab import _kernels, rmt
+from liblab import _kernels, ncalg, rmt
 from liblab.errors import GridMiss, IncompatibleN
 from liblab.freestate import AtomicComponent, InitialLaw, MarginalLaw
 from liblab.ncalg import EMPTY_WORD, Vs, VsStar, Word, Xs
+from liblab.ratefn import EmpiricalTrajectory
 
 
 def proj_marginals():
@@ -205,6 +206,99 @@ class TestWordTrace:
         w1 = rmt.evaluate_word_trace(Word((Xs(1, 1, 0), Xs(2, 1, 0))), fam, tup)
         w2 = rmt.evaluate_word_trace(Word((Xs(1, 1, 5), Xs(2, 1, 5))), fam, tup)
         assert w1 == w2
+
+
+def _per_letter_trace(word, family, resolver):
+    """Reference: the product from the identity, every letter conjugated
+    afresh where it occurs."""
+    N = family.N
+    M = np.eye(N, dtype=np.complex128)
+    n = getattr(resolver, "n", 0)
+    for sym in word.letters:
+        if sym.kind == ncalg.X:
+            xi = family.matrix((sym.i, sym.j))
+            if sym.i <= n:
+                U = resolver.unitary(sym.i, sym.t)
+                M = M @ (U @ xi @ U.conj().T)
+            else:
+                M = M @ xi
+        elif sym.i <= n:
+            U = resolver.unitary(sym.i, sym.t)
+            M = M @ (U if sym.kind == ncalg.V else U.conj().T)
+    return complex(np.trace(M) / N)
+
+
+def three_row_family(N, sign_law=False):
+    """Rows 1 and 2 for the motions, row 3 > n = 2 left unconjugated."""
+    atoms = [1, -1] if sign_law else [1, 0]
+    return rmt.build_initial_family(
+        [MarginalLaw(g, atoms=atoms, weights=[F(1, 2), F(1, 2)]) for g in (1, 2, 3)], N
+    )
+
+
+def _letter_words():
+    a, b = F(1, 10), F(1, 5)
+    return [
+        EMPTY_WORD,
+        Word((Xs(1, 1, 0),)),
+        Word((Vs(1, b),)),
+        Word((VsStar(2, a),)),
+        Word((Xs(1, 1, 0), Xs(2, 1, a), Xs(1, 1, b))),
+        Word((Xs(1, 1, a), Xs(1, 1, a), Xs(2, 1, b), Xs(2, 1, b), Xs(1, 1, a))),
+        Word((Vs(1, a), Xs(2, 1, 0), VsStar(1, a), Xs(1, 1, b))),
+        Word((Xs(3, 1, a), Xs(1, 1, b), Xs(3, 1, 0), Xs(2, 1, a))),
+        Word((Vs(3, b), Xs(2, 1, a), VsStar(2, b), Xs(3, 1, b), Vs(2, a))),
+        Word((Xs(2, 1, b), Xs(1, 1, 0), Xs(2, 1, b), Xs(1, 1, 0))),
+    ]
+
+
+def _resolvers(N):
+    traj = rmt.simulate_trajectory(N, 2, [F(1, 10), F(1, 5)], F(1, 10), base_seed=8)
+    rng = rmt.path_rng(9, 0)
+    tup = rmt.HaarTuple({i: rmt.sample_haar(N, rng) for i in (1, 2)})
+    return {"trajectory": traj, "haar": tup}
+
+
+class TestLetterMemo:
+    @pytest.mark.parametrize("kind", ["trajectory", "haar"])
+    def test_memo_keeps_numbers_exact(self, kind):
+        fam = three_row_family(8)
+        res = _resolvers(8)[kind]
+        emp = EmpiricalTrajectory(fam, [res])
+        memo = {}
+        for _ in range(2):  # the second pass reads every letter from the memo
+            for w in _letter_words():
+                ref = _per_letter_trace(w, fam, res)
+                assert rmt.evaluate_word_trace(w, fam, res) == ref
+                assert rmt.evaluate_word_trace(w, fam, res, memo) == ref
+                assert emp.moment(w) == complex(np.mean([ref]))
+
+    def test_off_grid_letter_is_not_stored(self):
+        fam = three_row_family(8)
+        traj = _resolvers(8)["trajectory"]
+        emp = EmpiricalTrajectory(fam, [traj])
+        on_grid = Word((Xs(1, 1, F(1, 10)), Xs(2, 1, F(1, 5))))
+        off_grid = Word((Xs(1, 1, F(1, 10)), Xs(2, 1, F(3, 20))))
+        for _ in range(2):
+            with pytest.raises(GridMiss):
+                emp.moment(off_grid)
+        assert emp.moment(on_grid) == _per_letter_trace(on_grid, fam, traj)
+        memo = {}
+        with pytest.raises(GridMiss):
+            rmt.evaluate_word_trace(off_grid, fam, traj, memo)
+        assert Xs(2, 1, F(3, 20)) not in memo
+
+    def test_memo_does_not_leak_across_families(self):
+        traj = _resolvers(8)["trajectory"]
+        fam_a, fam_b = three_row_family(8), three_row_family(8, sign_law=True)
+        emp_a = EmpiricalTrajectory(fam_a, [traj])
+        emp_b = EmpiricalTrajectory(fam_b, [traj])
+        w = Word((Xs(1, 1, F(1, 10)), Xs(2, 1, F(1, 5)), Xs(3, 1, 0)))
+        for _ in range(2):
+            got_a, got_b = emp_a.moment(w), emp_b.moment(w)
+            assert got_a == _per_letter_trace(w, fam_a, traj)
+            assert got_b == _per_letter_trace(w, fam_b, traj)
+            assert abs(got_a - got_b) > 1e-3
 
 
 class TestMomentCheck:
