@@ -99,15 +99,6 @@ def _write_csv(fh, config_echo, columns, rows):
         writer.writerow(row)
 
 
-def _complex_cols(name):
-    return ["%s_re" % name, "%s_im" % name]
-
-
-def _split_complex(z):
-    z = complex(z)
-    return [repr(z.real), repr(z.imag)]
-
-
 # ---------------------------------------------------------------------------
 # Experiments
 
@@ -278,8 +269,16 @@ def _int_list(text):
     return [int(x) for x in str(text).split(",") if x]
 
 
+def _frac(text):
+    # argparse reports a ValueError as a usage error, a ZeroDivisionError not
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError("zero denominator in %s" % text) from None
+
+
 def _frac_list(text):
-    return [Fraction(x) for x in str(text).split(",") if x]
+    return [_frac(x) for x in str(text).split(",") if x]
 
 
 _EXPERIMENTS = {
@@ -288,7 +287,7 @@ _EXPERIMENTS = {
         {
             "N": (int, 64),
             "paths": (int, 400),
-            "T": (Fraction, Fraction(1)),
+            "T": (_frac, Fraction(1)),
             "n_max": (int, 4),
             "steps": (int, 200),
             "seed": (int, 0),
@@ -399,7 +398,7 @@ def _resolve_config(args):
                 typ = schema[key][0]
                 try:
                     cfg[key] = typ(raw)
-                except (ValueError, ZeroDivisionError) as exc:
+                except ValueError as exc:
                     raise ConfigError("bad value for %s: %s" % (key, exc))
     for key in schema:
         if hasattr(args, key):  # explicit flag wins over config
@@ -414,19 +413,31 @@ _COUNT_KEYS = (
     "N", "paths", "samples", "seeds", "steps", "n_max", "m", "m_max", "l_max",
     "points", "n_words", "n_motions", "max_len",
 )
-_COUNT_LIST_KEYS = ("N_list", "m_list")
+# Lists, with the least entry allowed: counts from 1, times from 0. An empty
+# list of times writes an empty table or a vacuous d = 0 too.
+_LIST_KEYS = {
+    "N_list": 1, "m_list": 1, "grid": 0, "t_list": 0, "s_list": 0, "T_list": 0, "word_times": 0,
+}
+
+
+def _list_text(values):
+    return ",".join(map(str, values)) or "an empty list"
 
 
 def _validate(cfg):
     for key in _COUNT_KEYS:
         if key in cfg and cfg[key] < 1:
             raise ConfigError("%s must be >= 1, got %d" % (key, cfg[key]))
-    for key in _COUNT_LIST_KEYS:
-        if key in cfg and (not cfg[key] or min(cfg[key]) < 1):
+    for key, least in _LIST_KEYS.items():
+        if key in cfg and (not cfg[key] or min(cfg[key]) < least):
             raise ConfigError(
-                "%s must be nonempty with every entry >= 1, got %s"
-                % (key, ",".join(map(str, cfg[key])) or "an empty list")
+                "%s must be nonempty with every entry >= %d, got %s"
+                % (key, least, _list_text(cfg[key]))
             )
+    if "grid" in cfg and min(cfg["grid"]) > cfg["m_max"]:
+        raise ConfigError(
+            "grid must hold a time <= m_max = %d, got %s" % (cfg["m_max"], _list_text(cfg["grid"]))
+        )
     if "delta" in cfg and not cfg["delta"] > 0:
         raise ConfigError("delta must be > 0, got %r" % cfg["delta"])
     if "seed" in cfg and cfg["seed"] < 0:

@@ -1,17 +1,17 @@
 """Exact large-N trace oracles.
 
-The central device is a moment engine for families of mutually free "colors":
-a word of letters, each tagged with a color and an element id, is evaluated by
-the non-crossing cumulant sum restricted to color-homogeneous partitions
-(mixed free cumulants vanish), run as the first-block recursion of
-``ncpart.first_block_splits``. Per-color joint cumulants come from the same
-recursion, inverted, over per-color joint moments, which each color supplies:
+The central device is a moment engine for families of mutually free "colors".
+Each word is first written over free colors: a unitary Brownian motion letter
+u(t_q) becomes the motion's left increments g_q ... g_1 over the word's own
+times for that motion, which are free from each other and from everything
+else (Biane 1997). The word is then evaluated by the non-crossing cumulant
+sum restricted to color-homogeneous partitions (mixed free cumulants vanish),
+run as the first-block recursion of ``ncpart.first_block_splits``. Joint
+cumulants come from the same recursion, inverted, with one table per law:
 
-- atomic components of the initial law give exact rational joint moments;
-- a unitary Brownian motion color reduces multi-time words to words in its
-  left increments (mutually free, single-time laws) and recurses;
-- a single increment collapses words in g, g* to a power g^k by unitarity,
-  whose moment is Biane's closed form.
+- a component of the initial law gives exact rational joint moments;
+- an increment over an interval of length dt collapses words in g, g* to a
+  power g^k by unitarity, whose moment is Biane's closed form at dt.
 
 On top of the engine sit the oracle states sigma0^fr (free product, constant
 in time) and sigma0^lib (liberation process), their free-BM extensions
@@ -177,10 +177,6 @@ class InitialLaw:
     def component(self, gid):
         return self.components[self.component_index(gid)]
 
-    @property
-    def generator_ids(self):
-        return [gid for comp in self.components for gid in comp.ids]
-
 
 # ---------------------------------------------------------------------------
 # The free-family moment engine
@@ -189,27 +185,89 @@ class InitialLaw:
 class FreeMomentEngine:
     """Moment evaluator for a family of mutually free colors.
 
-    A letter is ``(color, elem)``. Colors:
+    ``moment`` takes letters ``(color, elem)``:
 
     - ``('x', comp_idx)``: component of the initial law; elem is a generator id
+    - ``('xr', i)``: row i of the initial law, freed from the other rows; elem
+      is a generator id of that row
     - ``('u', i)`` / ``('v', i)``: unitary BM motion; elem is ``(time, +-1)``
-    - ``('inc', r, dt)``: one left increment (internal); elem is an exponent
+
+    Each word is first written over mutually free colors. With
+    0 = t_0 < t_1 < ... a motion's distinct times in the word,
+    ``u(t_q) = g_q ... g_1`` with ``g_r`` its increment over
+    ``[t_{r-1}, t_r]``; adjacent ``g g*`` cancel. Each row of a component of
+    the initial law under ``'xr'`` is a color of its own.
+
+    Cumulant tables are kept per law: one per component of the initial law,
+    and one per increment length, shared by every motion. No table refers
+    back to the engine, so a dropped state frees its memos at once.
     """
 
     def __init__(self, sigma0: InitialLaw | None):
         self.sigma0 = sigma0
         self._moment_memo = {}
-        self._cumulants = {}  # color -> CumulantFunctional
+        self._color_ids = {}  # free variable -> color id
+        self._tables = []  # color id -> CumulantFunctional of its law
+        self._laws = {}  # law -> CumulantFunctional
 
     # -- public ------------------------------------------------------------
 
     def moment(self, letters) -> complex:
-        letters = tuple(letters)
-        if len(letters) > WORD_LENGTH_CAP:
-            raise DegreeOverflow("word of %d letters exceeds cap %d" % (len(letters), WORD_LENGTH_CAP))
-        return self._moment(letters)
+        return self._moment(self._free_letters(letters))
 
     # -- engine ------------------------------------------------------------
+
+    def _free_letters(self, letters):
+        """The word as letters ``(color id, elem)`` over mutually free colors."""
+        times = {}
+        for color, elem in letters:
+            if color[0] in ("u", "v"):
+                times.setdefault(color, {0}).add(elem[0])
+        increments = {}
+        for color, ts in times.items():
+            ts = sorted(ts)
+            increments[color] = (ts, [self._increment(color, a, b) for a, b in zip(ts, ts[1:])])
+        out = []
+        for color, elem in letters:
+            kind = color[0]
+            if kind == "x":
+                out.append((self._component(color, color[1]), elem))
+            elif kind == "xr":
+                comp = self.sigma0.component_index(elem)
+                out.append((self._component(color + (comp,), comp), elem))
+            elif kind in ("u", "v"):
+                t, e = elem
+                if e not in (1, -1):
+                    raise UnsupportedWord("unitary letters carry exponent +-1")
+                ts, gs = increments[color]
+                gs = gs[: ts.index(t)]
+                for g in reversed(gs) if e == 1 else gs:
+                    if out and out[-1] == (g, -e):
+                        out.pop()
+                    else:
+                        out.append((g, e))
+            else:
+                raise UnsupportedState("unknown color %r" % (color,))
+        return tuple(out)
+
+    def _component(self, key, comp):
+        return self._color(key, ("x", comp), self.sigma0.components[comp].joint_moment)
+
+    def _increment(self, motion, a, b):
+        dt = float(b - a)
+        return self._color((motion, a, b), ("g", dt), lambda exps: free_ubm_moment(abs(sum(exps)), dt))
+
+    def _color(self, key, law, moment):
+        """Id of the free variable ``key``; ``moment`` gives its law's joint
+        moments when the law is new."""
+        cid = self._color_ids.get(key)
+        if cid is None:
+            table = self._laws.get(law)
+            if table is None:
+                table = self._laws[law] = CumulantFunctional(moment)
+            cid = self._color_ids[key] = len(self._tables)
+            self._tables.append(table)
+        return cid
 
     def _moment(self, letters):
         if not letters:
@@ -219,9 +277,10 @@ class FreeMomentEngine:
             return hit
         color0 = letters[0][0]
         positions = [p for p in range(1, len(letters)) if letters[p][0] == color0]
+        table = self._tables[color0]
         total = 0
         for block, gaps in first_block_splits(len(letters), positions):
-            prod = self._cumulant(color0, tuple(letters[p][1] for p in block))
+            prod = table.kappa(tuple(letters[p][1] for p in block))
             for a, b in gaps:
                 if prod == 0:
                     break
@@ -231,69 +290,6 @@ class FreeMomentEngine:
         self._moment_memo[letters] = total
         return total
 
-    def _cumulant(self, color, elems):
-        cf = self._cumulants.get(color)
-        if cf is None:
-            cf = CumulantFunctional(lambda args, c=color: self._color_moment(c, args))
-            self._cumulants[color] = cf
-        return cf.kappa(elems)
-
-    def _color_moment(self, color, elems):
-        kind = color[0]
-        if kind == "x":
-            comp = self.sigma0.components[color[1]]
-            return comp.joint_moment(elems)
-        if kind == "xr":
-            # One row's generators, freed from all other rows: their joint law
-            # is sigma0 restricted to the row (free product across components,
-            # joint within).
-            return self._moment(
-                tuple((("x", self.sigma0.component_index(g)), g) for g in elems)
-            )
-        if kind in ("u", "v"):
-            return self._ubm_joint_moment(elems)
-        if kind == "inc":
-            power = sum(elems)
-            return free_ubm_moment(abs(power), color[2])
-        raise UnsupportedState("unknown color %r" % (color,))
-
-    def _ubm_joint_moment(self, elems):
-        """Joint moment of one motion's letters (time, exponent), via left
-        multiplicative free increments: v(t_q) = g_q g_{q-1} ... g_1."""
-        times = sorted({t for t, _ in elems if t > 0})
-        boundaries = [Fraction(0)] + times
-        inc_colors = [
-            ("inc", r, float(boundaries[r] - boundaries[r - 1]))
-            for r in range(1, len(boundaries))
-        ]
-        letters = []
-        for t, e in elems:
-            if t == 0:
-                continue
-            q = times.index(t) + 1
-            if e == 1:
-                seq = [(inc_colors[r - 1], 1) for r in range(q, 0, -1)]
-            elif e == -1:
-                seq = [(inc_colors[r - 1], -1) for r in range(1, q + 1)]
-            else:
-                raise UnsupportedWord("unitary letters carry exponent +-1")
-            letters.extend(seq)
-        merged = []
-        for color, e in letters:
-            if merged and merged[-1][0] == color:
-                tot = merged[-1][1] + e
-                if tot == 0:
-                    merged.pop()
-                else:
-                    merged[-1] = (color, tot)
-            else:
-                merged.append((color, e))
-        expanded = []
-        for color, e in merged:
-            step = 1 if e > 0 else -1
-            expanded.extend((color, step) for _ in range(abs(e)))
-        return self._moment(tuple(expanded))
-
 
 # ---------------------------------------------------------------------------
 # Oracle trace states
@@ -302,8 +298,6 @@ class FreeMomentEngine:
 class TraceState:
     """Common interface: tau on X-words (with times) plus the free-BM-extended
     tau-tilde on mixed X/V words."""
-
-    kind = "abstract"
 
     def __init__(self, sigma0: InitialLaw, n_motions: int):
         self.sigma0 = sigma0
@@ -366,8 +360,6 @@ class FreeProductState(TraceState):
     the rows (algebra indices i) freely independent; each row keeps its
     sigma0 joint law."""
 
-    kind = "free-product"
-
     def _x_letters(self, sym):
         gid = (sym.i, sym.j)
         return [(("xr", sym.i), gid)]
@@ -376,8 +368,6 @@ class FreeProductState(TraceState):
 class LiberationState(TraceState):
     """sigma0^lib: x_{ij}(t) = u_i(t) x_{ij} u_i(t)^* with the motions u_i
     free from the initial algebra and from each other; rows i > n are fixed."""
-
-    kind = "liberation"
 
     def _x_letters(self, sym):
         gid = (sym.i, sym.j)

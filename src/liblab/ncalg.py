@@ -267,10 +267,6 @@ class NCPolynomial:
     def is_x_only(self):
         return all(w.is_x_only() for w in self.terms)
 
-    def is_selfadjoint(self, tol=0.0):
-        diff = self - self.adjoint()
-        return all(abs(c) <= tol for c in diff.terms.values())
-
     def max_time(self):
         return max((w.max_time() for w in self.terms), default=Fraction(0))
 

@@ -44,12 +44,6 @@ class SetPartition:
     def __repr__(self):
         return "{" + "|".join(",".join(str(e) for e in b) for b in self.blocks) + "}"
 
-    def block_of(self, e):
-        for b in self.blocks:
-            if e in b:
-                return b
-        raise KeyError(e)
-
     @classmethod
     def parse(cls, text):
         """Parse the text form ``{1,4|2,3}``."""
@@ -91,10 +85,6 @@ def _is_noncrossing(blocks):
             if len(b) > 1:
                 stack.append([b, 1])
     return True
-
-
-def is_noncrossing(partition: SetPartition) -> bool:
-    return _is_noncrossing(partition.blocks)
 
 
 def _nc_blocks(points):

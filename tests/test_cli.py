@@ -93,6 +93,38 @@ class TestExitCodes:
         assert run_main(argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["metric", "--N", "4", "--grid", ","], "grid must be nonempty with every entry >= 0, got an empty list"),
+            (["metric", "--N", "4", "--grid", "-1"], "grid must be nonempty with every entry >= 0, got -1"),
+            (["metric", "--N", "4", "--grid", "5"], "grid must hold a time <= m_max = 2, got 5"),
+            (["liberation-convergence", "--grid", "3,4", "--m-max", "2"], "grid must hold a time <= m_max = 2, got 3,4"),
+            (["rate-minimizer", "--t-list", ","], "t_list must be nonempty with every entry >= 0, got an empty list"),
+            (["rate-minimizer", "--t-list", "-1"], "t_list must be nonempty with every entry >= 0, got -1"),
+            (["rate-minimizer", "--word-times", "1/2,-1/4"], "word_times must be nonempty with every entry >= 0, got 1/2,-1/4"),
+            (["bounds-51", "--T-list", ","], "T_list must be nonempty with every entry >= 0, got an empty list"),
+            (["bounds-51", "--T-list", "-1"], "T_list must be nonempty with every entry >= 0, got -1"),
+            (["prop81-check", "--s-list", ","], "s_list must be nonempty with every entry >= 0, got an empty list"),
+        ],
+    )
+    def test_bad_time_list_is_config_error(self, argv, message, monkeypatch, capsys):
+        _never_run(monkeypatch, argv[0])
+        assert run_main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["metric", "--grid", "0,1/0"], "invalid _frac_list value: '0,1/0'"),
+            (["ubm-moments", "--T", "1/0"], "invalid _frac value: '1/0'"),
+        ],
+    )
+    def test_zero_denominator_is_usage_error(self, argv, message, monkeypatch, capsys):
+        _never_run(monkeypatch, argv[0])
+        assert run_main(argv) == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("target", ["no_dir/x.csv", "."])
     def test_bad_out_fails_before_run(self, target, tmp_path, monkeypatch, capsys):
         # a missing directory, or a directory as the target

@@ -1,8 +1,10 @@
 """Exact trace oracles: free products, free unitary BM, liberation states,
 and the conditional-expectation expansion."""
 
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -277,6 +279,45 @@ class TestLiberationState:
         sigma0 = two_projections()
         state = LiberationState(sigma0, 2)
         assert state.moment(EMPTY_WORD) == 1
+
+
+class TestMomentEngine:
+    @pytest.mark.parametrize("times", [(1, 1), (F(1, 2), 1), (F(1, 4), F(3, 2)), (0, F(2, 3))])
+    def test_alternating_projection_words(self, times):
+        # one time per row leaves two free trace-1/2 projections p, q, and
+        # tau((pq)^k) = 1/2 C(2k, k) / 4^k; an odd word folds to (pq)^k by p^2 = p
+        state = LiberationState(two_projections(), 2)
+        for length in range(2, 13):
+            w = Word(tuple(Xs(1 + q % 2, 1, times[q % 2]) for q in range(length)))
+            k = length // 2
+            expected = 0.5 * math.comb(2 * k, k) / 4**k
+            assert abs(complex(state.moment(w)) - expected) < 1e-12
+
+    def test_one_projection_at_two_times(self):
+        # tau(p v p v*) = tau(p)^2 + (tau(p) - tau(p)^2) |tau(v)|^2 with
+        # v = u(s)* u(t), whose mean is e^{-|t-s|/2}
+        state = LiberationState(two_projections(), 2)
+        grid = [F(0), F(1, 8), F(1, 3), F(1, 2), F(1), F(7, 4)]
+        for s in grid:
+            for t in grid:
+                if s != t:
+                    w = Word((Xs(1, 1, s), Xs(1, 1, t)))
+                    expected = 0.25 + 0.25 * math.exp(-abs(float(t - s)))
+                    assert abs(complex(state.moment(w)) - expected) < 1e-12
+
+    @pytest.mark.parametrize("state_cls", [LiberationState, FreeProductState])
+    def test_dropped_state_frees_engine(self, state_cls):
+        # no reference cycle through the engine: its memos go with the state,
+        # without waiting for a full collection
+        gc.disable()
+        try:
+            state = state_cls(two_projections(correlated=True), 2)
+            state.moment(Word((Xs(1, 1, 1), Xs(2, 1, F(1, 2)), Xs(1, 1, 1), Xs(2, 1, 2))))
+            engine = weakref.ref(state.engine)
+            del state
+            assert engine() is None
+        finally:
+            gc.enable()
 
 
 @pytest.fixture(scope="module")

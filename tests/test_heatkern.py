@@ -3,6 +3,7 @@ and the circle heat kernel."""
 
 import math
 
+import mpmath
 import pytest
 from scipy.integrate import quad
 from scipy.special import ellipe, ellipkm1
@@ -145,7 +146,6 @@ class TestFreeEnergy:
         # the same closed form in 200-digit arithmetic: forming 1 - m1 costs
         # ~T/9 digits and the cancellation down to F ~ 2 e^{-T/2} another
         # ~T/5, which still leaves > 60 digits at T = 400
-        mpmath = pytest.importorskip("mpmath")
         with mpmath.workdps(200):
 
             def m1_K_G(log_m1):
