@@ -1,11 +1,26 @@
-"""Elementwise numeric kernels around the stepper's eigendecomposition:
-GUE assembly before ``eigh`` and the phase reconstruction after it."""
+"""Numeric kernels of the stepper: GUE assembly and the exponential
+exp(i s H) of one Hermitian matrix.
+
+The exponential is a Taylor polynomial in X = i s H, of degree K chosen from
+a bound on the spectral norm of X: X is normal, so
+
+    ||X||_2 <= b = min(||X||_1, ||X^2||_1^(1/2), ||X^4||_1^(1/4)),
+
+and for real theta the Taylor remainder of e^{i theta} after degree K is at
+most |theta|^(K+1)/(K+1)!. K is the least of 3, 7, 11, 15, 19 with
+b^(K+1)/(K+1)! <= 2^-53. When b > 1, X is first halved q times (so b <= 1)
+and the polynomial squared q times.
+"""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+_DEGREES = (3, 7, 11, 15, 19)
+# Row j holds the Taylor coefficients 1/k! of block j, k = 4j .. 4j + 3.
+_BLOCKS = np.array([1.0 / math.factorial(k) for k in range(20)], dtype=np.complex128).reshape(5, 4)
 
 
 def assemble_gue(A, B):
@@ -15,7 +30,40 @@ def assemble_gue(A, B):
     return (G + np.conjugate(np.swapaxes(G, -1, -2))) / math.sqrt(4.0 * N)
 
 
-def phase_scale(V, w, sqrt_h):
-    """exp(i sqrt(h) H) from the eigensystem of H: (V * e^{i sqrt(h) w}) V^H."""
-    phases = np.exp(1j * sqrt_h * w)
-    return (V * phases[..., None, :]) @ np.conjugate(np.swapaxes(V, -1, -2))
+def _norm1(M):
+    return float(np.abs(M).sum(axis=0).max())
+
+
+def expi(H, s):
+    """exp(i s H) for one Hermitian N x N matrix H and real s.
+
+    Paterson-Stockmeyer evaluation: X, X^2, X^3 and X^4 are formed once, and
+    Horner's rule in X^4 runs over blocks of four Taylor terms, so degree K
+    costs 3 + (K - 3)/4 products (plus q squarings).
+    """
+    N = H.shape[-1]
+    P = np.empty((3, N, N), dtype=np.complex128)  # X, X^2, X^3
+    X, X2, X3 = P
+    np.multiply(H, 1j * s, out=X)
+    np.matmul(X, X, out=X2)
+    X4 = X2 @ X2
+    b = min(_norm1(X), _norm1(X2) ** 0.5, _norm1(X4) ** 0.25)
+    q = math.ceil(math.log2(b)) if b > 1.0 else 0
+    if q:  # power-of-two scalings are exact
+        X *= 2.0**-q
+        X2 *= 4.0**-q
+        X4 *= 16.0**-q
+        b *= 2.0**-q
+    K = next(K for K in _DEGREES if b ** (K + 1) / math.factorial(K + 1) <= 2.0**-53)
+    np.matmul(X2, X, out=X3)
+    coef = _BLOCKS[: (K + 1) // 4]
+    blocks = (coef[:, 1:] @ P.reshape(3, -1)).reshape(-1, N, N)
+    blocks.reshape(len(coef), -1)[:, :: N + 1] += coef[:, :1]
+    E, product = blocks[-1], X3  # X3 is spent: it becomes the product buffer
+    for block in blocks[-2::-1]:
+        np.matmul(E, X4, out=product)
+        block += product
+        E = block
+    for _ in range(q):
+        E = E @ E
+    return E

@@ -438,6 +438,14 @@ def _validate(cfg):
         raise ConfigError(
             "grid must hold a time <= m_max = %d, got %s" % (cfg["m_max"], _list_text(cfg["grid"]))
         )
+    if "T" in cfg and not cfg["T"] > 0:
+        raise ConfigError("T must be > 0, got %s" % cfg["T"])
+    if "steps" in cfg and cfg["steps"] % 4:
+        # ubm-moments reports t = 0, T/4, T/2, 3T/4, T; each must be a step time
+        raise ConfigError(
+            "steps must be a multiple of 4 to put T/4, T/2 and 3T/4 on the step grid, got %d"
+            % cfg["steps"]
+        )
     if "delta" in cfg and not cfg["delta"] > 0:
         raise ConfigError("delta must be > 0, got %r" % cfg["delta"])
     if "seed" in cfg and cfg["seed"] < 0:

@@ -2,15 +2,17 @@
 motion trajectories, Haar sampling, and empirical word traces.
 
 Stepping scheme: U(t+h) = exp(i sqrt(h) H) U(t) with H a self-adjoint
-Gaussian generator normalized so E tr_N H^2 = 1. The exponential of the
-skew-Hermitian generator keeps every iterate exactly unitary; the matrix
-exponential is taken through the eigendecomposition of H.
+Gaussian generator normalized so E tr_N H^2 = 1. The exponential is
+``_kernels.expi``, a Taylor polynomial in the skew-Hermitian i sqrt(h) H of
+the least degree whose remainder bound is at most 2^-53, so every iterate is
+unitary to rounding. It is evaluated one path at a time.
 
 Seeding: every random draw in the package comes from ``path_rng(seed, path)``,
 a generator seeded by the NumPy ``SeedSequence([seed, path])``, so distinct
 (seed, path) pairs give independent streams. Within a path the draw order is
 fixed (per step, motions in index order, real part then imaginary part), so
-identical seeds give bit-identical runs.
+identical seeds give bit-identical runs. The initial family's fixed rotations
+draw from ``path_rng(ROTATION_SEED, c)``, one stream per component c >= 1.
 """
 
 from __future__ import annotations
@@ -84,6 +86,15 @@ def _atom_counts(weights, N, strict):
     return counts
 
 
+def _turned_diagonal(vals, V):
+    """diag(vals), conjugated by the unitary V unless V is None."""
+    D = np.array(vals, dtype=np.complex128)
+    if V is None:
+        return np.diag(D)
+    M = (V * D) @ V.conj().T
+    return (M + M.conj().T) / 2  # exactly self-adjoint
+
+
 def build_initial_family(marginals, N, strict=True) -> InitialFamily:
     """Quantile-diagonal realization of the initial law at dimension N.
 
@@ -91,6 +102,11 @@ def build_initial_family(marginals, N, strict=True) -> InitialFamily:
     InitialLaw (which may correlate generators inside one component). Atomic
     components are realized exactly when N times every weight is an integer;
     otherwise IncompatibleN in strict mode, largest-remainder rounding if not.
+
+    Each component's generators are diagonal in one basis. Component c >= 1
+    (in order) is turned by the fixed Haar unitary
+    ``sample_haar(N, path_rng(ROTATION_SEED, c))``, so that distinct
+    components are asymptotically free rather than all diagonal together.
     """
     if isinstance(marginals, InitialLaw):
         components = marginals.components
@@ -103,15 +119,16 @@ def build_initial_family(marginals, N, strict=True) -> InitialFamily:
 
     entries = {}
     norm = 0.0
-    for comp in components:
+    for c, comp in enumerate(components):
+        V = sample_haar(N, path_rng(ROTATION_SEED, c)) if c else None
         if hasattr(comp, "atoms"):
             counts = _atom_counts(comp.weights, N, strict)
             for pos, gid in enumerate(comp.ids):
                 vals = []
-                for atom, c in zip(comp.atoms, counts):
-                    vals.extend([float(atom[pos])] * c)
+                for atom, k in zip(comp.atoms, counts):
+                    vals.extend([float(atom[pos])] * k)
                 vals.sort()
-                entries[gid] = np.diag(np.array(vals, dtype=np.complex128))
+                entries[gid] = _turned_diagonal(vals, V)
                 norm = max(norm, max(abs(v) for v in vals) if vals else 0.0)
         else:
             gid = comp.ids[0]
@@ -121,13 +138,18 @@ def build_initial_family(marginals, N, strict=True) -> InitialFamily:
                     "component %r has neither atoms nor a quantile function" % (gid,)
                 )
             vals = [law.quantile((k + 0.5) / N) for k in range(N)]
-            entries[gid] = np.diag(np.array(vals, dtype=np.complex128))
+            entries[gid] = _turned_diagonal(vals, V)
             norm = max(norm, max(abs(v) for v in vals))
     return InitialFamily(N, entries, norm)
 
 
 # ---------------------------------------------------------------------------
 # Random streams, Gaussian generators and Haar sampling
+
+
+# The base seed of the initial family's fixed rotations: above every 64-bit
+# run seed, so those rotations share no stream with a run's paths.
+ROTATION_SEED = 2**64
 
 
 def path_rng(seed, path):
@@ -186,9 +208,11 @@ class BatchedUBM:
                 A[p] = self.rngs[p].standard_normal((N, N))
                 B[p] = self.rngs[p].standard_normal((N, N))
             H = _kernels.assemble_gue(A, B)
-            w, V = np.linalg.eigh(H)
-            E = _kernels.phase_scale(V, w, sh)
-            self.U[i] = E @ self.U[i]
+            U = self.U[i]
+            out = np.empty_like(U)
+            for p in range(P):
+                np.matmul(_kernels.expi(H[p], sh), U[p], out=out[p])
+            self.U[i] = out
         self.steps_done += 1
 
     def run_until(self, t, snapshot_times=(), callback=None):
@@ -305,15 +329,19 @@ def evaluate_word_trace(word: Word, family: InitialFamily, resolver, letters=Non
     """
     if letters is None:
         letters = {}
-    M = None
+    mats = []
     for sym in word.letters:
         if sym not in letters:
             letters[sym] = _letter(sym, family, resolver)
-        L = letters[sym]
-        if L is not None:
-            M = L if M is None else M @ L
-    if M is None:
+        if letters[sym] is not None:
+            mats.append(letters[sym])
+    if not mats:
         return complex(1.0)
+    M = mats[0]
+    for L in mats[1:-1]:
+        M = M @ L
+    if len(mats) > 1:  # the last product only through its trace
+        return complex(np.einsum("ij,ji->", M, mats[-1]) / family.N)
     return complex(np.trace(M) / family.N)
 
 

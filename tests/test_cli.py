@@ -1,11 +1,13 @@
 """Command-line runner: exit codes, config/flag precedence, CSV output."""
 
 import inspect
+import os
 import subprocess
 import sys
 
 import pytest
 
+import liblab
 from liblab import __version__, cli
 
 
@@ -86,6 +88,9 @@ class TestExitCodes:
             (["rate-minimizer", "--max-len", "0"], "max_len must be >= 1, got 0"),
             (["bounds-51", "--m-list", "0"], "m_list must be nonempty with every entry >= 1, got 0"),
             (["bounds-51", "--m-list", "2,-1"], "m_list must be nonempty with every entry >= 1, got 2,-1"),
+            (["ubm-moments", "--T", "-1"], "T must be > 0, got -1"),
+            (["ubm-moments", "--T", "0"], "T must be > 0, got 0"),
+            (["ubm-moments", "--T=-1/2"], "T must be > 0, got -1/2"),
         ],
     )
     def test_nonpositive_count_is_config_error(self, argv, message, monkeypatch, capsys):
@@ -112,6 +117,17 @@ class TestExitCodes:
         _never_run(monkeypatch, argv[0])
         assert run_main(argv) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("steps", ["2", "3", "202"])
+    def test_report_times_off_step_grid_is_config_error(self, steps, monkeypatch, capsys):
+        # ubm-moments reports t = T/4, T/2, 3T/4; these steps would drop rows
+        argv = ["ubm-moments", "--steps", steps]
+        _never_run(monkeypatch, argv[0])
+        assert run_main(argv) == 2
+        assert (
+            "steps must be a multiple of 4 to put T/4, T/2 and 3T/4 on the step grid, got %s"
+            % steps
+        ) in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -205,7 +221,7 @@ class TestCsvOutput:
         assert cols == "m,T,lhs,rhs,margin"
         # a stochastic subcommand echoes the seed it ran with
         out = tmp_path / "u.csv"
-        argv = ["ubm-moments", "--N", "4", "--paths", "2", "--steps", "2", "--n-max", "1"]
+        argv = ["ubm-moments", "--N", "4", "--paths", "2", "--steps", "4", "--n-max", "1"]
         assert run_main(argv + ["--seed", "5", "--out", str(out)]) == 0
         assert "# seed = 5" in read_lines(out)
 
@@ -232,10 +248,14 @@ class TestCsvOutput:
 
 class TestConsoleScript:
     def test_entry_point_version(self):
+        # the child imports the same liblab as this test, installed or not
+        src = os.path.dirname(os.path.dirname(liblab.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         res = subprocess.run(
             [sys.executable, "-m", "liblab.cli", "--version"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert res.returncode == 0
         assert __version__ in res.stdout

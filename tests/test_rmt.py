@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 
 from liblab import _kernels, ncalg, rmt
+from liblab.cli import two_free_projections
 from liblab.errors import GridMiss, IncompatibleN
-from liblab.freestate import AtomicComponent, InitialLaw, MarginalLaw
+from liblab.freestate import AtomicComponent, InitialLaw, LiberationState, MarginalLaw
 from liblab.ncalg import EMPTY_WORD, Vs, VsStar, Word, Xs
-from liblab.ratefn import EmpiricalTrajectory
+from liblab.ratefn import EmpiricalTrajectory, trajectory_metric_d
 
 
 def proj_marginals():
@@ -60,6 +61,36 @@ class TestInitialFamily:
         for m in fam.entries.values():
             assert np.allclose(m, m.conj().T, atol=1e-12)
 
+    @pytest.mark.parametrize("N", [16, 32, 64, 128])
+    def test_free_components_start_free(self, N):
+        # tau(x11 x21) = tau(x11) tau(x21) = 1/4 for free projections; a shared
+        # diagonal basis would give tau(x11^2) = 1/2
+        fam = rmt.build_initial_family(two_free_projections(), N)
+        a, b = fam.matrix((1, 1)), fam.matrix((2, 1))
+        assert abs(np.trace(a @ b).real / N - 0.25) <= 2 / N
+        assert abs(np.trace(b).real / N - 0.5) < 1e-12
+        assert np.max(np.abs(b @ b - b)) < 1e-12
+
+    def test_fixed_rotation_is_reproducible(self):
+        a = rmt.build_initial_family(proj_marginals(), 8).matrix((2, 1))
+        b = rmt.build_initial_family(proj_marginals(), 8).matrix((2, 1))
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("N", [16, 32, 64, 128])
+    def test_metric_shrinks_like_one_over_N(self, N):
+        # Against the free oracle, d falls like 1/N (N d near 0.09); a model
+        # of the correlated pair P = Q floors at d = 0.0236 for every N.
+        sigma0 = two_free_projections()
+        fam = rmt.build_initial_family(sigma0, N)
+        oracle = LiberationState(sigma0, 2)
+        grid = [F(0), F(1, 2), F(1)]
+        ds = []
+        for seed in (0, 1):
+            traj = rmt.simulate_trajectory(N, 2, grid[1:], F(1, 50), seed)
+            emp = EmpiricalTrajectory(fam, [traj])
+            ds.append(trajectory_metric_d(emp, oracle, 2, 3, grid, gen_ids=[(1, 1), (2, 1)]))
+        assert 0.03 <= N * np.mean(ds) <= 0.3
+
 
 class TestGaussianGenerator:
     def test_selfadjoint(self):
@@ -75,17 +106,25 @@ class TestGaussianGenerator:
         ]
         assert abs(np.mean(vals) - 1.0) < 0.05
 
-    def test_phase_scale_matches_expm(self):
+
+class TestExpi:
+    # h = 1 and h = 16 put ||sqrt(h) H||_2 above 1 (for N >= 2), so the
+    # halving-and-squaring branch runs there.
+    @pytest.mark.parametrize("h", [F(1, 200), F(1, 20), F(1), F(16)])
+    @pytest.mark.parametrize("N", [1, 2, 8, 64])
+    def test_matches_expm(self, N, h):
         from scipy.linalg import expm
 
-        rng = np.random.default_rng(2)
-        A = rng.standard_normal((3, 8, 8))
-        B = rng.standard_normal((3, 8, 8))
-        H = _kernels.assemble_gue(A, B)
-        w, V = np.linalg.eigh(H)
-        E = _kernels.phase_scale(V, w, 0.1)
-        for p in range(3):
-            assert np.max(np.abs(E[p] - expm(0.1j * H[p]))) < 1e-12
+        s = math.sqrt(h)
+        H = rmt.gaussian_generator(N, rmt.path_rng(2, N))
+        E = _kernels.expi(H, s)
+        assert np.max(np.abs(E - expm(1j * s * H))) <= 1e-13
+        assert np.linalg.norm(E.conj().T @ E - np.eye(N), ord=2) <= 1e-13
+
+    @pytest.mark.parametrize("s", [0.0, 0.1, 3.0])
+    def test_zero_generator_is_identity(self, s):
+        E = _kernels.expi(np.zeros((8, 8), dtype=np.complex128), s)
+        assert np.array_equal(E, np.eye(8))
 
 
 class TestHaar:
@@ -208,24 +247,44 @@ class TestWordTrace:
         assert w1 == w2
 
 
-def _per_letter_trace(word, family, resolver):
-    """Reference: the product from the identity, every letter conjugated
-    afresh where it occurs."""
-    N = family.N
-    M = np.eye(N, dtype=np.complex128)
+def _per_letter_matrices(word, family, resolver):
+    """Every letter's matrix, conjugated afresh where it occurs (v_{n+1} = 1
+    is left out)."""
     n = getattr(resolver, "n", 0)
+    mats = []
     for sym in word.letters:
         if sym.kind == ncalg.X:
             xi = family.matrix((sym.i, sym.j))
             if sym.i <= n:
                 U = resolver.unitary(sym.i, sym.t)
-                M = M @ (U @ xi @ U.conj().T)
+                mats.append(U @ xi @ U.conj().T)
             else:
-                M = M @ xi
+                mats.append(xi)
         elif sym.i <= n:
             U = resolver.unitary(sym.i, sym.t)
-            M = M @ (U if sym.kind == ncalg.V else U.conj().T)
-    return complex(np.trace(M) / N)
+            mats.append(U if sym.kind == ncalg.V else U.conj().T)
+    return mats
+
+
+def _full_product_trace(word, family, resolver):
+    """Reference: the trace of the whole product from the identity."""
+    M = np.eye(family.N, dtype=np.complex128)
+    for L in _per_letter_matrices(word, family, resolver):
+        M = M @ L
+    return complex(np.trace(M) / family.N)
+
+
+def _per_letter_trace(word, family, resolver):
+    """Reference in the same arithmetic as evaluate_word_trace: the product
+    from the identity of all letters but the last, paired with the last
+    through the trace."""
+    mats = _per_letter_matrices(word, family, resolver)
+    if len(mats) < 2:
+        return _full_product_trace(word, family, resolver)
+    M = np.eye(family.N, dtype=np.complex128)
+    for L in mats[:-1]:
+        M = M @ L
+    return complex(np.einsum("ij,ji->", M, mats[-1]) / family.N)
 
 
 def three_row_family(N, sign_law=False):
@@ -260,6 +319,14 @@ def _resolvers(N):
 
 
 class TestLetterMemo:
+    @pytest.mark.parametrize("kind", ["trajectory", "haar"])
+    def test_trace_pairing_matches_full_product(self, kind):
+        fam = three_row_family(16)
+        res = _resolvers(16)[kind]
+        for w in _letter_words():
+            ref = _full_product_trace(w, fam, res)
+            assert abs(rmt.evaluate_word_trace(w, fam, res) - ref) <= 1e-12
+
     @pytest.mark.parametrize("kind", ["trajectory", "haar"])
     def test_memo_keeps_numbers_exact(self, kind):
         fam = three_row_family(8)
