@@ -26,6 +26,7 @@ from fractions import Fraction
 from . import __version__, ncalg, ratefn, rmt
 from .errors import ConfigError, DomainError, GridMiss, IncompatibleN, LiblabError
 from .freestate import (
+    PROP81_LENGTH_CAP,
     InitialLaw,
     LiberationState,
     MarginalLaw,
@@ -152,12 +153,16 @@ def run_chi_orb(cfg):
     return ["N", "hits", "samples", "fraction", "log_fraction"], rows
 
 
-def _empirical_liberation(N, seed, grid, path=0, steps_per_unit=50):
+# Step size of the simulated motions: 1/50 puts every grid time with
+# denominator dividing 50 on the step grid.
+_STEP = Fraction(1, 50)
+
+
+def _empirical_liberation(N, seed, grid, path=0):
     sigma0 = two_free_projections()
     family = rmt.build_initial_family(sigma0, N, strict=False)
-    h = Fraction(1, steps_per_unit)
     times = [Fraction(t) for t in grid if Fraction(t) > 0]
-    traj = rmt.simulate_trajectory(N, 2, times, h, seed, path)
+    traj = rmt.simulate_trajectory(N, 2, times, _STEP, seed, path)
     return ratefn.EmpiricalTrajectory(family, [traj])
 
 
@@ -438,6 +443,12 @@ def _validate(cfg):
         raise ConfigError(
             "grid must hold a time <= m_max = %d, got %s" % (cfg["m_max"], _list_text(cfg["grid"]))
         )
+    if "max_len" in cfg and cfg["max_len"] > PROP81_LENGTH_CAP:
+        # the rate integrand expands every word through Prop 8.1
+        raise ConfigError(
+            "max_len must be <= %d, the Prop 8.1 word-length cap, got %d"
+            % (PROP81_LENGTH_CAP, cfg["max_len"])
+        )
     if "T" in cfg and not cfg["T"] > 0:
         raise ConfigError("T must be > 0, got %s" % cfg["T"])
     if "steps" in cfg and cfg["steps"] % 4:
@@ -452,10 +463,27 @@ def _validate(cfg):
         raise ConfigError("seed must be >= 0, got %d" % cfg["seed"])
 
 
+def _attach_negative_values(argv):
+    """Join an argument that starts with ``-<digit>`` to the option before it.
+
+    argparse reads ``-1/2`` as an unknown option, so ``--T -1/2`` would fail
+    before ``_validate`` could name the value. No option here starts with
+    ``-<digit>``, so such an argument is always a value.
+    """
+    out = []
+    for arg in argv:
+        is_value = arg[:1] == "-" and arg[1:2].isdigit()
+        if is_value and out and out[-1].startswith("--") and "=" not in out[-1]:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if exc.code is not None else 2
     try:

@@ -123,7 +123,7 @@ class MarginalLaw:
     sequence with a declared norm bound.
     """
 
-    def __init__(self, label, atoms=None, weights=None, moments=None, norm_bound=None, n_generators=1):
+    def __init__(self, label, atoms=None, weights=None, moments=None, norm_bound=None):
         self.label = label
         self.norm_bound = norm_bound
         if atoms is not None:
@@ -133,8 +133,6 @@ class MarginalLaw:
             if norm_bound is None:
                 self.norm_bound = max(max(abs(v) for v in a) for a in vec_atoms)
         elif moments is not None:
-            if n_generators != 1:
-                raise ValueError("moment-sequence marginals support one generator")
             if norm_bound is None:
                 raise ValueError("moment-sequence marginals need a norm bound")
             self.component = MomentComponent((label, 1), moments, norm_bound)
@@ -455,7 +453,7 @@ def conditional_expectation_prop81(word: Word, k: int, s, tau: TraceState) -> NC
 
     sub_letters = [Xs(sym.i, sym.j, min(s, sym.t)) for sym in letters]
 
-    total = NCPolynomial.zero()
+    terms = []
     for pi in _nc_cached(n):
         kap = cf.kappa_pi(pi, tuple(w_letters))
         if kap == 0:
@@ -464,15 +462,13 @@ def conditional_expectation_prop81(word: Word, k: int, s, tau: TraceState) -> NC
         # C(tau; K(pi)) at the time-s letters
         block_words = [Word(tuple(sub_letters[e - 1] for e in b)) for b in kp.blocks]
         block_traces = [tau.moment(bw) for bw in block_words]
-        comb = NCPolynomial.zero()
-        for b_idx, bw in enumerate(block_words):
-            prod = 1
-            for o_idx, tr in enumerate(block_traces):
-                if o_idx != b_idx:
-                    prod = prod * tr
-            comb = comb + NCPolynomial.from_word(bw, prod)
-        total = total + ncalg.cyclic_derivative(comb, k, s) * complex(kap)
-    return total
+        comb = NCPolynomial(
+            (bw, math.prod(tr for o_idx, tr in enumerate(block_traces) if o_idx != b_idx))
+            for b_idx, bw in enumerate(block_words)
+        )
+        kap = complex(kap)
+        terms += ((w, c * kap) for w, c in ncalg.cyclic_derivative(comb, k, s).terms.items())
+    return NCPolynomial(terms)
 
 
 def lemma51_bound_check(sigma0: InitialLaw, entries, T):

@@ -4,12 +4,19 @@ Letters carry exact rational times (``fractions.Fraction``) so that the
 unitarity rewrite v_i(t) v_i(t)* -> 1 and the indicator in the liberation
 derivation are decidable. Coefficients are complex floats.
 
+Coefficients are collected in one place: ``_collect`` adds the coefficients
+of equal words (or word pairs) and drops a zero sum, and every polynomial is
+built through it. The liberation derivation lists its raw terms in one pass
+and collects them once; the cyclic derivative collects theta of the same raw
+terms.
+
 Text forms: ``X[i,j;t]``, ``V[i;t]``, ``V*[i;t]``; juxtaposition for products,
 ``+`` between terms.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 
@@ -124,11 +131,8 @@ class Word:
 
     __slots__ = ("letters",)
 
-    def __init__(self, letters=(), _canonicalize=True):
-        letters = tuple(letters)
-        if _canonicalize:
-            letters = _canonical(letters)
-        object.__setattr__(self, "letters", letters)
+    def __init__(self, letters=()):
+        object.__setattr__(self, "letters", _canonical(letters))
 
     def __setattr__(self, *_):
         raise AttributeError("Word is immutable")
@@ -165,29 +169,36 @@ class Word:
 EMPTY_WORD = Word()
 
 
+def _collect(pairs):
+    """Sum the coefficients of equal keys from (key, coefficient) pairs; a key
+    whose sum is zero is dropped."""
+    out = {}
+    for key, coeff in pairs:
+        cur = out.get(key, 0.0) + coeff
+        if cur == 0:
+            out.pop(key, None)
+        else:
+            out[key] = cur
+    return out
+
+
+def _pairs(terms):
+    """(key, coefficient) pairs from a mapping or an iterable of pairs."""
+    return terms.items() if hasattr(terms, "keys") else terms
+
+
 class NCPolynomial:
-    """Finite complex-linear combination of canonical words."""
+    """Finite complex-linear combination of canonical words.
+
+    Built, as ``dict`` is, from a mapping or from (word, coefficient) pairs;
+    the coefficients of equal words are added.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for word, coeff in terms.items():
-                if not isinstance(word, Word):
-                    word = Word(word)
-                coeff = complex(coeff)
-                if coeff != 0:
-                    cur = clean.get(word)
-                    if cur is None:
-                        clean[word] = coeff
-                    else:
-                        cur += coeff
-                        if cur == 0:
-                            del clean[word]
-                        else:
-                            clean[word] = cur
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, terms=()):
+        pairs = ((w if isinstance(w, Word) else Word(w), complex(c)) for w, c in _pairs(terms))
+        object.__setattr__(self, "terms", _collect(pairs))
 
     def __setattr__(self, *_):
         raise AttributeError("NCPolynomial is immutable")
@@ -215,14 +226,7 @@ class NCPolynomial:
             other = NCPolynomial.scalar(other)
         if not isinstance(other, NCPolynomial):
             return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            cur = out.get(w, 0.0) + c
-            if cur == 0:
-                out.pop(w, None)
-            else:
-                out[w] = cur
-        return NCPolynomial(out)
+        return NCPolynomial(itertools.chain(self.terms.items(), other.terms.items()))
 
     __radd__ = __add__
 
@@ -242,16 +246,11 @@ class NCPolynomial:
             return NCPolynomial({w: c * other for w, c in self.terms.items()})
         if not isinstance(other, NCPolynomial):
             return NotImplemented
-        out = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                w = w1 * w2
-                cur = out.get(w, 0.0) + c1 * c2
-                if cur == 0:
-                    out.pop(w, None)
-                else:
-                    out[w] = cur
-        return NCPolynomial(out)
+        return NCPolynomial(
+            (w1 * w2, c1 * c2)
+            for w1, c1 in self.terms.items()
+            for w2, c2 in other.terms.items()
+        )
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
@@ -275,22 +274,17 @@ class NCPolynomial:
 
 
 class TensorPolynomial:
-    """Finite map (Word, Word) -> coefficient; target of the derivation."""
+    """Finite map (Word, Word) -> coefficient; target of the derivation.
+
+    Built like ``NCPolynomial``, from a mapping or from (pair, coefficient)
+    pairs.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for pair, coeff in terms.items():
-                coeff = complex(coeff)
-                if coeff != 0:
-                    cur = clean.get(pair, 0.0) + coeff
-                    if cur == 0:
-                        clean.pop(pair, None)
-                    else:
-                        clean[pair] = cur
-        object.__setattr__(self, "terms", clean)
+    def __init__(self, terms=()):
+        pairs = ((pair, complex(c)) for pair, c in _pairs(terms))
+        object.__setattr__(self, "terms", _collect(pairs))
 
     def __setattr__(self, *_):
         raise AttributeError("TensorPolynomial is immutable")
@@ -299,14 +293,7 @@ class TensorPolynomial:
         return isinstance(other, TensorPolynomial) and self.terms == other.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for pair, c in other.terms.items():
-            cur = out.get(pair, 0.0) + c
-            if cur == 0:
-                out.pop(pair, None)
-            else:
-                out[pair] = cur
-        return TensorPolynomial(out)
+        return TensorPolynomial(itertools.chain(self.terms.items(), other.terms.items()))
 
     def is_zero(self):
         return not self.terms
@@ -319,59 +306,36 @@ class TensorPolynomial:
         """self . (1 otimes word)"""
         return TensorPolynomial({(a, b * word): c for (a, b), c in self.terms.items()})
 
-    def flip_multiply(self) -> NCPolynomial:
-        """theta(a otimes b) = b a, extended linearly."""
-        out = {}
-        for (a, b), c in self.terms.items():
-            w = b * a
-            cur = out.get(w, 0.0) + c
-            if cur == 0:
-                out.pop(w, None)
-            else:
-                out[w] = cur
-        return NCPolynomial(out)
 
+def _derivation_terms(p: NCPolynomial, k: int, s):
+    """Raw terms (a, b, c) of delta_s^(k) p, the tensor legs as letter tuples.
 
-def _delta_letter(sym: GeneratorSymbol, k: int, s: Fraction) -> TensorPolynomial:
-    """delta_s^(k) on one X letter."""
-    if sym.kind != X:
-        raise NonXPolynomial("liberation derivation is defined on X-polynomials only")
-    if sym.i != k or not (0 <= s <= sym.t):
-        return TensorPolynomial({})
-    v = Vs(k, sym.t - s)
-    vstar = VsStar(k, sym.t - s)
-    return TensorPolynomial(
-        {
-            (Word((sym, v)), Word((vstar,))): 1.0,
-            (Word((v,)), Word((vstar, sym))): -1.0,
-        }
-    )
+    Each letter x = x_{kj}(t) with s <= t of a word prefix.x.suffix with
+    coefficient c gives prefix.x.v (x) v*.suffix with +c and
+    prefix.v (x) v*.x.suffix with -c, where v = v_k(t - s).
+    """
+    s = _as_time(s)
+    if not p.is_x_only():
+        raise NonXPolynomial("polynomial contains V/V* letters")
+    for word, coeff in p.terms.items():
+        letters = word.letters
+        for idx, sym in enumerate(letters):
+            if sym.i != k or not (0 <= s <= sym.t):
+                continue
+            v, vstar = Vs(k, sym.t - s), VsStar(k, sym.t - s)
+            prefix, suffix = letters[:idx], letters[idx + 1 :]
+            yield prefix + (sym, v), (vstar,) + suffix, coeff
+            yield prefix + (v,), (vstar, sym) + suffix, -coeff
 
 
 def liberation_derivation(p: NCPolynomial, k: int, s) -> TensorPolynomial:
     """delta_s^(k), extended to polynomials by linearity and Leibniz."""
-    s = _as_time(s)
-    if not p.is_x_only():
-        raise NonXPolynomial("polynomial contains V/V* letters")
-    total = TensorPolynomial({})
-    for word, coeff in p.terms.items():
-        letters = word.letters
-        for idx, sym in enumerate(letters):
-            d = _delta_letter(sym, k, s)
-            if d.is_zero():
-                continue
-            prefix = Word(letters[:idx])
-            suffix = Word(letters[idx + 1 :])
-            d = d.mul_left_first(prefix).mul_right_second(suffix)
-            total = total + TensorPolynomial(
-                {pair: c * coeff for pair, c in d.terms.items()}
-            )
-    return total
+    return TensorPolynomial(((Word(a), Word(b)), c) for a, b, c in _derivation_terms(p, k, s))
 
 
 def cyclic_derivative(p: NCPolynomial, k: int, s) -> NCPolynomial:
-    """D_s^(k) = theta . delta_s^(k)."""
-    return liberation_derivation(p, k, s).flip_multiply()
+    """D_s^(k) = theta . delta_s^(k), with theta(a (x) b) = b a."""
+    return NCPolynomial((Word(b + a), c) for a, b, c in _derivation_terms(p, k, s))
 
 
 def cyclic_derivative_commutator_form(word: Word, k: int, s) -> NCPolynomial:
@@ -408,25 +372,18 @@ def pi_s_substitution(p: NCPolynomial, s, n: int) -> NCPolynomial:
     X letters with i > n (the fixed row n+1) and all V letters are unchanged.
     """
     s = _as_time(s)
-    terms = {}
-    for word, coeff in p.terms.items():
-        new_letters = []
-        for sym in word.letters:
-            if sym.kind != X or sym.i > n:
-                new_letters.append(sym)
-                continue
-            shifted = max(sym.t - s, Fraction(0))
-            inner = min(s, sym.t)
-            new_letters.append(Vs(sym.i, shifted))
-            new_letters.append(Xs(sym.i, sym.j, inner))
-            new_letters.append(VsStar(sym.i, shifted))
-        w = Word(new_letters)
-        cur = terms.get(w, 0.0) + coeff
-        if cur == 0:
-            terms.pop(w, None)
-        else:
-            terms[w] = cur
-    return NCPolynomial(terms)
+    return NCPolynomial((_pi_s_word(word, s, n), coeff) for word, coeff in p.terms.items())
+
+
+def _pi_s_word(word: Word, s: Fraction, n: int) -> Word:
+    letters = []
+    for sym in word.letters:
+        if sym.kind != X or sym.i > n:
+            letters.append(sym)
+            continue
+        shifted = max(sym.t - s, Fraction(0))
+        letters += (Vs(sym.i, shifted), Xs(sym.i, sym.j, min(s, sym.t)), VsStar(sym.i, shifted))
+    return Word(letters)
 
 
 # ---------------------------------------------------------------------------
@@ -490,20 +447,16 @@ def format_polynomial(p: NCPolynomial) -> str:
 
 
 def parse_polynomial(text: str) -> NCPolynomial:
-    total = NCPolynomial.zero()
-    for raw in _split_terms(text):
-        raw = raw.strip()
-        if not raw:
-            continue
-        if "*X[" in raw or "*V" in raw:
-            coeff_txt, word_txt = raw.split("*", 1)
-            coeff = complex(coeff_txt)
-            total = total + NCPolynomial.from_word(parse_word(word_txt), coeff)
-        elif raw.startswith(("X[", "V[", "V*[")):
-            total = total + NCPolynomial.from_word(parse_word(raw), 1.0)
-        else:
-            total = total + NCPolynomial.scalar(complex(raw))
-    return total
+    return NCPolynomial(_parse_term(raw.strip()) for raw in _split_terms(text) if raw.strip())
+
+
+def _parse_term(raw: str):
+    if "*X[" in raw or "*V" in raw:
+        coeff_txt, word_txt = raw.split("*", 1)
+        return parse_word(word_txt), complex(coeff_txt)
+    if raw.startswith(("X[", "V[", "V*[")):
+        return parse_word(raw), 1.0
+    return EMPTY_WORD, complex(raw)
 
 
 def _split_terms(text: str):

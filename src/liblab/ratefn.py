@@ -209,9 +209,11 @@ def rate_integrand_eq9(tau, P, t, s_points=8):
             return 0.0
         total = 0.0
         for k in range(1, n + 1):
-            E = NCPolynomial.zero()
-            for w, c in P.terms.items():
-                E = E + conditional_expectation_prop81(w, k, s, tau) * c
+            E = NCPolynomial(
+                (w2, c2 * c)
+                for w, c in P.terms.items()
+                for w2, c2 in conditional_expectation_prop81(w, k, s, tau).terms.items()
+            )
             total += tau.norm2_squared(E)
         return total
 

@@ -91,6 +91,8 @@ class TestExitCodes:
             (["ubm-moments", "--T", "-1"], "T must be > 0, got -1"),
             (["ubm-moments", "--T", "0"], "T must be > 0, got 0"),
             (["ubm-moments", "--T=-1/2"], "T must be > 0, got -1/2"),
+            (["ubm-moments", "--T", "-1/2"], "T must be > 0, got -1/2"),
+            (["rate-minimizer", "--max-len", "7"], "max_len must be <= 6, the Prop 8.1 word-length cap, got 7"),
         ],
     )
     def test_nonpositive_count_is_config_error(self, argv, message, monkeypatch, capsys):
@@ -111,6 +113,8 @@ class TestExitCodes:
             (["bounds-51", "--T-list", ","], "T_list must be nonempty with every entry >= 0, got an empty list"),
             (["bounds-51", "--T-list", "-1"], "T_list must be nonempty with every entry >= 0, got -1"),
             (["prop81-check", "--s-list", ","], "s_list must be nonempty with every entry >= 0, got an empty list"),
+            (["metric", "--grid", "-1/2"], "grid must be nonempty with every entry >= 0, got -1/2"),
+            (["metric", "--grid", "-1/2,1"], "grid must be nonempty with every entry >= 0, got -1/2,1"),
         ],
     )
     def test_bad_time_list_is_config_error(self, argv, message, monkeypatch, capsys):

@@ -99,6 +99,12 @@ class TestWords:
             p, q = rand_x_poly(rng), rand_x_poly(rng)
             assert (p * q).adjoint() == q.adjoint() * p.adjoint()
 
+    def test_pairs_collect_equal_words(self):
+        w, u = Word((Xs(1, 1, 1),)), Word((Xs(2, 1, F(1, 2)), Xs(1, 1, 1)))
+        p = NCPolynomial([(w, 1), (w, 2), (u, 1), (u, -1)])
+        assert p.terms == {w: 3}
+        assert p == NCPolynomial({w: 3.0})
+
     def test_float_time_rejected(self):
         with pytest.raises(TypeError):
             Xs(1, 1, 0.1)
@@ -205,6 +211,27 @@ class TestCyclicDerivative:
                 xs = NCPolynomial.from_word(Word((Xs(sym.i, sym.j, s),)))
                 rhs = rhs + inner * xs - xs * inner
             assert lhs == rhs
+
+    def test_theta_of_collected_derivation(self):
+        # Collecting theta of the raw terms gives theta of the collected
+        # tensor. A word minus its rotation has a zero cyclic derivative, so
+        # the added rotations make terms cancel on the way.
+        rng = random.Random(43)
+        cancelled = 0
+        for _ in range(60):
+            p = rand_x_poly(rng, terms=3, max_len=5)
+            w = rand_x_word(rng, max_len=5)
+            r = rng.randint(0, max(len(w) - 1, 0))
+            rot = Word(w.letters[r:] + w.letters[:r])
+            p = p + NCPolynomial.from_word(w, 2) - NCPolynomial.from_word(rot, 2)
+            k, s = rng.randint(1, 3), F(rng.randint(0, 8), 4)
+            d = liberation_derivation(p, k, s)
+            theta = NCPolynomial((b * a, c) for (a, b), c in d.terms.items())
+            assert cyclic_derivative(p, k, s) == theta
+            q = NCPolynomial.from_word(w) - NCPolynomial.from_word(rot)
+            assert cyclic_derivative(q, k, s).is_zero()
+            cancelled += not liberation_derivation(q, k, s).is_zero()
+        assert cancelled > 10
 
     def test_star_law(self):
         # The commutator structure makes the cyclic derivative a *skew*
