@@ -16,9 +16,11 @@ Exit codes: 0 success, 2 configuration error, 3 numeric domain error, 4 I/O.
 from __future__ import annotations
 
 import argparse
+import collections
 import configparser
 import contextlib
 import csv
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -166,30 +168,31 @@ def _empirical_liberation(N, seed, grid, path=0):
     return ratefn.EmpiricalTrajectory(family, [traj])
 
 
+# One trajectory of liberation-convergence: path seed_index at dimension N.
+Trajectory = collections.namedtuple("Trajectory", "N seed_index")
+
+
+def _trajectory_d(seed, grid, m_max, l_max, item):
+    """d(tau_N, tau^lib) on one trajectory, against a fresh oracle, so that
+    the value does not depend on which trajectories ran before it."""
+    emp = _empirical_liberation(item.N, seed, grid, path=item.seed_index)
+    oracle = LiberationState(two_free_projections(), 2)
+    return ratefn.trajectory_metric_d(emp, oracle, m_max, l_max, grid, gen_ids=[(1, 1), (2, 1)])
+
+
 def run_liberation_convergence(cfg):
-    sigma0 = two_free_projections()
-    oracle = LiberationState(sigma0, 2)
     grid = [Fraction(t) for t in cfg["grid"]]
-    gen_ids = [(1, 1), (2, 1)]
-    rows = []
-    for N in cfg["N_list"]:
-        for s in range(cfg["seeds"]):
-            emp = _empirical_liberation(N, cfg["seed"], grid, path=s)
-            d = ratefn.trajectory_metric_d(
-                emp, oracle, cfg["m_max"], cfg["l_max"], grid, gen_ids=gen_ids
-            )
-            rows.append((N, s, repr(d)))
-    return ["N", "seed_index", "d"], rows
+    items = [Trajectory(N, s) for N in cfg["N_list"] for s in range(cfg["seeds"])]
+    # interleaved over the workers, so each gets some of the largest N
+    ds = rmt.map_shards(
+        functools.partial(_trajectory_d, cfg["seed"], grid, cfg["m_max"], cfg["l_max"]), items
+    )
+    return ["N", "seed_index", "d"], [(N, s, repr(d)) for (N, s), d in zip(items, ds)]
 
 
 def run_metric(cfg):
-    sigma0 = two_free_projections()
-    oracle = LiberationState(sigma0, 2)
     grid = [Fraction(t) for t in cfg["grid"]]
-    emp = _empirical_liberation(cfg["N"], cfg["seed"], grid)
-    d = ratefn.trajectory_metric_d(
-        emp, oracle, cfg["m_max"], cfg["l_max"], grid, gen_ids=[(1, 1), (2, 1)]
-    )
+    d = _trajectory_d(cfg["seed"], grid, cfg["m_max"], cfg["l_max"], Trajectory(cfg["N"], 0))
     return ["N", "d"], [(cfg["N"], repr(d))]
 
 
@@ -510,4 +513,8 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # Run the module under its import name, so that the functions it hands
+    # to shard workers pickle by that name, not as __main__'s.
+    from liblab import cli
+
+    sys.exit(cli.main())

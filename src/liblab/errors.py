@@ -39,3 +39,14 @@ class IncompatibleN(LiblabError):
 
 class ConfigError(LiblabError):
     """Raised for invalid experiment configuration."""
+
+
+class ShardError(LiblabError):
+    """Raised when a work item of ``rmt.map_shards`` fails; names the item.
+
+    ``traceback`` is the text of the failing call's traceback, if any.
+    """
+
+    def __init__(self, message, traceback=None):
+        super().__init__(message)
+        self.traceback = traceback

@@ -43,15 +43,21 @@ def _as_time(t) -> Fraction:
 
 
 class GeneratorSymbol:
-    """One letter: X(i,j,t), V(i,t) or VStar(i,t). Immutable and hashable."""
+    """One letter: X(i,j,t), V(i,t) or VStar(i,t). Immutable and hashable.
 
-    __slots__ = ("kind", "i", "j", "t")
+    The hash is computed once, at construction, from the time's numerator
+    and denominator (a Fraction is always in lowest terms): dict and set
+    lookups would otherwise rehash the time through ``Fraction.__hash__``,
+    which is slow, on every call.
+    """
+
+    __slots__ = ("kind", "i", "j", "t", "_hash")
 
     def __init__(self, kind, i, j, t):
         if kind not in (X, V, VSTAR):
             raise ValueError("kind must be X, V or V*")
         t = _as_time(t)
-        if t < 0:
+        if t.numerator < 0:  # the denominator is positive; cheaper than t < 0
             raise ValueError("time must be nonnegative")
         if i < 1:
             raise ValueError("index i must be >= 1")
@@ -65,6 +71,7 @@ class GeneratorSymbol:
         object.__setattr__(self, "i", i)
         object.__setattr__(self, "j", j)
         object.__setattr__(self, "t", t)
+        object.__setattr__(self, "_hash", hash((kind, i, j, t.numerator, t.denominator)))
 
     def __setattr__(self, *_):
         raise AttributeError("GeneratorSymbol is immutable")
@@ -76,7 +83,7 @@ class GeneratorSymbol:
         return isinstance(other, GeneratorSymbol) and self._key() == other._key()
 
     def __hash__(self):
-        return hash(self._key())
+        return self._hash
 
     def adjoint(self):
         if self.kind == X:

@@ -13,17 +13,28 @@ a generator seeded by the NumPy ``SeedSequence([seed, path])``, so distinct
 fixed (per step, motions in index order, real part then imaginary part), so
 identical seeds give bit-identical runs. The initial family's fixed rotations
 draw from ``path_rng(ROTATION_SEED, c)``, one stream per component c >= 1.
+
+Shards: ``map_shards`` runs independent work items (paths, trajectories) in
+worker processes, one per allowed CPU, each with one BLAS thread, and returns
+their results in input order, so outputs do not depend on the CPU count.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import math
+import os
+import pickle
+import subprocess
+import sys
+import traceback
 from fractions import Fraction
 
 import numpy as np
 
 from . import _kernels, ncalg
-from .errors import GridMiss, IncompatibleN
+from .errors import GridMiss, IncompatibleN, ShardError
 from .freestate import InitialLaw, MarginalLaw, free_ubm_moment
 from .ncalg import Word
 from .ncpart import catalan
@@ -178,20 +189,28 @@ def sample_haar(N, rng):
 
 
 class BatchedUBM:
-    """P independent paths of n motions, stepped in lockstep.
+    """P independent paths of n motions, stepped in lockstep: paths
+    ``first_path`` to ``first_path + P - 1`` of ``base_seed``.
 
     ``self.U[i]`` is the (P, N, N) stack of the current unitaries of motion i;
-    ``self.time`` is the exact current time (a Fraction multiple of h).
+    ``self.time`` is the exact current time (a Fraction multiple of h). A
+    step writes into buffers the engine keeps, among them the stack that was
+    current before it: copy a stack to keep it past the next step.
     """
 
-    def __init__(self, N, n_motions, h, paths, base_seed):
+    def __init__(self, N, n_motions, h, paths, base_seed, first_path=0):
         self.N = N
         self.n = n_motions
         self.h = Fraction(h)
         self.paths = paths
-        self.rngs = [path_rng(base_seed, p) for p in range(paths)]
+        self.rngs = [path_rng(base_seed, p) for p in range(first_path, first_path + paths)]
         eye = np.eye(N, dtype=np.complex128)
         self.U = {i: np.tile(eye, (paths, 1, 1)) for i in range(1, n_motions + 1)}
+        self._spare = {i: np.empty_like(U) for i, U in self.U.items()}
+        self._A = np.empty((paths, N, N))
+        self._B = np.empty((paths, N, N))
+        self._H = np.empty((paths, N, N), dtype=np.complex128)
+        self._work = _kernels.expi_workspace(N)
         self.steps_done = 0
 
     @property
@@ -199,20 +218,17 @@ class BatchedUBM:
         return self.h * self.steps_done
 
     def step(self):
-        N, P = self.N, self.paths
         sh = math.sqrt(float(self.h))
+        A, B, H = self._A, self._B, self._H
         for i in range(1, self.n + 1):
-            A = np.empty((P, N, N))
-            B = np.empty((P, N, N))
-            for p in range(P):
-                A[p] = self.rngs[p].standard_normal((N, N))
-                B[p] = self.rngs[p].standard_normal((N, N))
-            H = _kernels.assemble_gue(A, B)
-            U = self.U[i]
-            out = np.empty_like(U)
-            for p in range(P):
-                np.matmul(_kernels.expi(H[p], sh), U[p], out=out[p])
-            self.U[i] = out
+            for p, rng in enumerate(self.rngs):
+                rng.standard_normal(out=A[p])
+                rng.standard_normal(out=B[p])
+            _kernels.assemble_gue(A, B, out=H)
+            U, out = self.U[i], self._spare[i]
+            for p in range(self.paths):
+                np.matmul(_kernels.expi(H[p], sh, self._work), U[p], out=out[p])
+            self.U[i], self._spare[i] = out, U
         self.steps_done += 1
 
     def run_until(self, t, snapshot_times=(), callback=None):
@@ -277,8 +293,7 @@ def simulate_trajectory(N, n_motions, sample_times, h, base_seed, path=0) -> Uni
     for t in times:
         if t % h != 0:
             raise GridMiss("sample time %s is not a multiple of h=%s" % (t, h))
-    engine = BatchedUBM(N, n_motions, h, paths=1, base_seed=base_seed)
-    engine.rngs = [path_rng(base_seed, path)]
+    engine = BatchedUBM(N, n_motions, h, paths=1, base_seed=base_seed, first_path=path)
     snapshots = {}
 
     def grab(t, U):
@@ -352,6 +367,8 @@ def evaluate_word_trace(word: Word, family: InitialFamily, resolver, letters=Non
 def finite_n_moment_ode_check(n_max, T, N, paths, h=None, base_seed=0, sample_times=None):
     """Empirical E[tr_N U(t)^n] against the large-N moments (Biane's closed form).
 
+    The paths run in contiguous ranges, one per allowed CPU (``map_shards``),
+    and their traces are joined in path order before the mean is taken.
     Returns rows (n, t, empirical, ode, gap, stderr).
     """
     T = Fraction(T)
@@ -360,18 +377,153 @@ def finite_n_moment_ode_check(n_max, T, N, paths, h=None, base_seed=0, sample_ti
     h = Fraction(h)
     if sample_times is None:
         sample_times = [T * q / 4 for q in range(5)]
-    engine = BatchedUBM(N, 1, h, paths, base_seed)
+    W = min(_allowed_cpus(), paths)
+    ranges = [range(paths * w // W, paths * (w + 1) // W) for w in range(W)]
+    run = functools.partial(_power_traces, N, h, base_seed, T, sample_times, n_max)
+    per_range = map_shards(run, ranges)
     rows = []
-
-    def grab(t, U):
-        M = np.eye(N, dtype=np.complex128)[None].repeat(paths, axis=0)
+    for snaps in zip(*per_range):  # one snapshot time, every range
+        t = snaps[0][0]
         for n in range(1, n_max + 1):
-            M = M @ U[1]
-            vals = np.trace(M, axis1=-2, axis2=-1).real / N
+            vals = np.concatenate([traces[n - 1] for _t, traces in snaps])
             emp = float(vals.mean())
             se = float(vals.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
             ode = free_ubm_moment(n, float(t))
             rows.append((n, float(t), emp, ode, emp - ode, se))
+    return rows
+
+
+def _power_traces(N, h, base_seed, T, sample_times, n_max, paths):
+    """Per-path tr_N U(t)^n, n = 1..n_max, of the paths in the range
+    ``paths`` of one motion: a list of (t, (n_max, len(paths)) array), one
+    entry per time of ``sample_times`` that the steps to T reach."""
+    engine = BatchedUBM(N, 1, h, len(paths), base_seed, first_path=paths.start)
+    found = []
+
+    def grab(t, U):
+        M = np.eye(N, dtype=np.complex128)[None].repeat(len(paths), axis=0)
+        traces = np.empty((n_max, len(paths)))
+        for n in range(n_max):
+            M = M @ U[1]
+            traces[n] = np.trace(M, axis1=-2, axis2=-1).real / N
+        found.append((t, traces))
 
     engine.run_until(T, snapshot_times=sample_times, callback=grab)
-    return rows
+    return found
+
+
+# ---------------------------------------------------------------------------
+# Shards: independent work items over the allowed CPUs
+
+
+def _allowed_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform: one process
+        return 1
+
+
+# A worker drops its script directory ('' under -c) from sys.path, so that
+# the liblab it imports is the one first on the PYTHONPATH it is given.
+_WORKER = "import sys; del sys.path[0]; from liblab.rmt import _serve_shard; _serve_shard()"
+
+
+def map_shards(fn, items):
+    """``[fn(item) for item in items]``, split over the CPUs this process may
+    run on.
+
+    With W = min(allowed CPUs, len(items)) > 1, worker w is a fresh Python
+    process that gets ``items[w::W]`` and runs them in order with one BLAS
+    thread (``OPENBLAS_NUM_THREADS=1``, ``OMP_NUM_THREADS=1``): the thread
+    count changes the last bits of large products, and one thread per worker
+    makes the results the same for every W. With W = 1 the one shard runs in
+    this process, through the same ``_run_shard``. Results come back in
+    input order.
+
+    ``fn`` must pickle by reference (a module-level function, or a
+    ``functools.partial`` of one over plain data), and the items and results
+    must pickle too. If any call raises, ShardError names the first such item in
+    input order; the workers are killed and reaped in every case.
+    """
+    items = list(items)
+    W = max(1, min(_allowed_cpus(), len(items)))
+    if W == 1:
+        outcomes = [_run_shard(fn, items)]
+    else:
+        outcomes = _run_workers(fn, [items[w::W] for w in range(W)])
+    failed = [
+        (w + W * len(results), failure)
+        for w, (results, failure) in enumerate(outcomes)
+        if failure is not None
+    ]
+    if failed:
+        index, (summary, trace) = min(failed)
+        raise ShardError("%r failed: %s" % (items[index], summary), trace)
+    merged = [None] * len(items)
+    for w, (results, _failure) in enumerate(outcomes):
+        merged[w::W] = results
+    return merged
+
+
+def _run_shard(fn, items):
+    """(results, failure): fn over items in order, up to the first call that
+    raises; failure is None or ("Type: message", traceback text) of it."""
+    results = []
+    for item in items:
+        try:
+            results.append(fn(item))
+        except Exception as exc:  # map_shards reports it with the item
+            return results, ("%s: %s" % (type(exc).__name__, exc), traceback.format_exc())
+    return results, None
+
+
+def _serve_shard():
+    """A worker's main: (fn, items) pickled on stdin, the outcome of
+    ``_run_shard`` pickled on stdout."""
+    fn, items = pickle.load(sys.stdin.buffer)
+    out = sys.stdout.buffer
+    sys.stdout = sys.stderr  # a stray print cannot corrupt the outcome
+    pickle.dump(_run_shard(fn, items), out)
+    out.flush()
+
+
+def _run_workers(fn, shards):
+    """The outcomes of ``_run_shard(fn, shard)``, one worker process per shard."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=path)
+    procs = []
+    try:
+        for _shard in shards:
+            procs.append(
+                subprocess.Popen(
+                    [sys.executable, "-c", _WORKER],
+                    stdin=subprocess.PIPE,
+                    stdout=subprocess.PIPE,
+                    env=env,
+                )
+            )
+        for proc, shard in zip(procs, shards):
+            # a worker reads all of its input before it writes; one that
+            # died is reported by its exit code below
+            with contextlib.suppress(BrokenPipeError):
+                proc.stdin.write(pickle.dumps((fn, shard)))
+                proc.stdin.close()
+        outcomes = []
+        for proc, shard in zip(procs, shards):
+            data = proc.stdout.read()
+            if proc.wait() != 0 or not data:
+                raise ShardError(
+                    "worker for %d items from %r exited with code %d"
+                    % (len(shard), shard[0], proc.returncode)
+                )
+            outcomes.append(pickle.loads(data))
+        return outcomes
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+            with contextlib.suppress(BrokenPipeError):
+                proc.stdin.close()
+            proc.stdout.close()

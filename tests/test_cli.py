@@ -250,16 +250,21 @@ class TestCsvOutput:
             assert float(margin) > 0
 
 
+def _child_env():
+    """The environment of a child that imports the same liblab as this test,
+    installed or not."""
+    src = os.path.dirname(os.path.dirname(liblab.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 class TestConsoleScript:
     def test_entry_point_version(self):
-        # the child imports the same liblab as this test, installed or not
-        src = os.path.dirname(os.path.dirname(liblab.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         res = subprocess.run(
             [sys.executable, "-m", "liblab.cli", "--version"],
             capture_output=True,
             text=True,
-            env=dict(os.environ, PYTHONPATH=path),
+            env=_child_env(),
         )
         assert res.returncode == 0
         assert __version__ in res.stdout
@@ -290,6 +295,55 @@ class TestSeeding:
             rows = [l.split(",") for l in read_lines(out) if not l.startswith("#")][1:]
             ds[seed] = [row[2] for row in rows]
         assert len(set(ds[0]) | set(ds[7919])) == 6
+
+
+_ALLOWED_CPUS = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+
+
+class TestShards:
+    @pytest.mark.skipif(len(_ALLOWED_CPUS) < 2, reason="needs two allowed CPUs")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["liberation-convergence", "--N-list", "16,128", "--seeds", "5", "--grid", "0,1/2,1",
+             "--m-max", "2", "--l-max", "3"],
+            ["ubm-moments", "--N", "128", "--paths", "6", "--steps", "8", "--n-max", "3"],
+        ],
+        ids=["liberation-convergence", "ubm-moments"],
+    )
+    def test_csv_does_not_depend_on_core_count(self, argv, tmp_path):
+        # the BLAS thread count would follow the CPU count and move last bits
+        env = _child_env()
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            env.pop(var, None)
+        csvs = []
+        for cpus in ({_ALLOWED_CPUS[0]}, set(_ALLOWED_CPUS[:2])):
+            out = tmp_path / ("cpus%d.csv" % len(cpus))
+            subprocess.run(
+                [sys.executable, "-m", "liblab.cli", *argv, "--out", str(out)],
+                env=env,
+                check=True,
+                timeout=600,
+                preexec_fn=lambda cpus=cpus: os.sched_setaffinity(0, cpus),
+            )
+            csvs.append(out.read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_failure_is_clean(self, tmp_path, capsys):
+        argv = ["liberation-convergence", "--N-list", "16,128", "--seeds", "2", "--m-max", "1",
+                "--l-max", "2"]
+        out = tmp_path / "x.csv"
+        assert run_main(argv + ["--grid", "0,1/2", "--out", str(out)]) == 0
+        with pytest.raises(ChildProcessError):  # no worker left unreaped
+            os.waitpid(-1, os.WNOHANG)
+        out.unlink()
+        # 1/3 is off the 1/50 step grid, so every trajectory raises GridMiss
+        assert run_main(argv + ["--grid", "0,1/3", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "error: Trajectory(N=16, seed_index=0) failed: GridMiss: sample time 1/3" in err
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestUbmMomentsRunner:

@@ -2,6 +2,7 @@
 word traces."""
 
 import math
+import os
 from fractions import Fraction as F
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from liblab import _kernels, ncalg, rmt
 from liblab.cli import two_free_projections
-from liblab.errors import GridMiss, IncompatibleN
+from liblab.errors import GridMiss, IncompatibleN, ShardError
 from liblab.freestate import AtomicComponent, InitialLaw, LiberationState, MarginalLaw
 from liblab.ncalg import EMPTY_WORD, Vs, VsStar, Word, Xs
 from liblab.ratefn import EmpiricalTrajectory, trajectory_metric_d
@@ -125,6 +126,87 @@ class TestExpi:
     def test_zero_generator_is_identity(self, s):
         E = _kernels.expi(np.zeros((8, 8), dtype=np.complex128), s)
         assert np.array_equal(E, np.eye(8))
+
+
+def _assemble_reference(A, B):
+    """GUE assembly by the plain formula, allocating afresh."""
+    G = A + 1j * B
+    return (G + np.conjugate(np.swapaxes(G, -1, -2))) / math.sqrt(4.0 * A.shape[-1])
+
+
+def _expi_reference(H, s):
+    """The Paterson-Stockmeyer exponential with every intermediate allocated
+    afresh: the arithmetic that ``_kernels.expi`` does in its workspace."""
+    N = H.shape[-1]
+    P = np.empty((3, N, N), dtype=np.complex128)
+    X, X2, X3 = P
+    np.multiply(H, 1j * s, out=X)
+    np.matmul(X, X, out=X2)
+    X4 = X2 @ X2
+
+    def norm1(M):
+        return float(np.abs(M).sum(axis=0).max())
+
+    b = min(norm1(X), norm1(X2) ** 0.5, norm1(X4) ** 0.25)
+    q = math.ceil(math.log2(b)) if b > 1.0 else 0
+    if q:
+        X *= 2.0**-q
+        X2 *= 4.0**-q
+        X4 *= 16.0**-q
+        b *= 2.0**-q
+    K = next(K for K in _kernels._DEGREES if b ** (K + 1) / math.factorial(K + 1) <= 2.0**-53)
+    np.matmul(X2, X, out=X3)
+    coef = _kernels._BLOCKS[: (K + 1) // 4]
+    blocks = (coef[:, 1:] @ P.reshape(3, -1)).reshape(-1, N, N)
+    blocks.reshape(len(coef), -1)[:, :: N + 1] += coef[:, :1]
+    E = blocks[-1]
+    for block in blocks[-2::-1]:
+        E = block + E @ X4
+    for _ in range(q):
+        E = E @ E
+    return E
+
+
+class TestStepperBuffers:
+    """The stepper's reused buffers give the bytes of fresh allocations."""
+
+    @pytest.mark.parametrize("N", [1, 8, 128])
+    def test_assemble_gue_into_buffer(self, N):
+        rng = rmt.path_rng(4, N)
+        A, B = rng.standard_normal((3, N, N)), rng.standard_normal((3, N, N))
+        ref = _assemble_reference(A, B)
+        assert np.array_equal(_kernels.assemble_gue(A, B), ref)
+        out = np.full((3, N, N), np.nan + 1j * np.nan)
+        assert _kernels.assemble_gue(A, B, out=out) is out
+        assert np.array_equal(out, ref)
+
+    @pytest.mark.parametrize("N", [1, 2, 8, 64, 128])
+    def test_expi_workspace_matches_fresh(self, N):
+        # one workspace through every degree and the squaring branch
+        work = _kernels.expi_workspace(N)
+        for k, h in enumerate([F(1, 200), F(1, 20), F(1), F(16), F(1, 50)]):
+            H = rmt.gaussian_generator(N, rmt.path_rng(3, 10 * N + k))
+            s = math.sqrt(h)
+            ref = _expi_reference(H, s)
+            assert np.array_equal(_kernels.expi(H, s, work), ref)
+            assert np.array_equal(_kernels.expi(H, s), ref)
+
+    @pytest.mark.parametrize("N, n_motions, paths", [(8, 2, 3), (128, 1, 2)])
+    def test_step_matches_fresh_draws(self, N, n_motions, paths):
+        h = F(1, 20)
+        eng = rmt.BatchedUBM(N, n_motions, h, paths=paths, base_seed=6, first_path=2)
+        rngs = [rmt.path_rng(6, p) for p in range(2, 2 + paths)]
+        U = {i: np.tile(np.eye(N, dtype=np.complex128), (paths, 1, 1)) for i in eng.U}
+        for _ in range(3):
+            eng.step()
+            for i in range(1, n_motions + 1):
+                A, B = np.empty((paths, N, N)), np.empty((paths, N, N))
+                for p, rng in enumerate(rngs):
+                    A[p] = rng.standard_normal((N, N))
+                    B[p] = rng.standard_normal((N, N))
+                H = _assemble_reference(A, B)
+                U[i] = np.array([_expi_reference(H[p], math.sqrt(h)) @ U[i][p] for p in range(paths)])
+                assert np.array_equal(eng.U[i], U[i])
 
 
 class TestHaar:
@@ -366,6 +448,31 @@ class TestLetterMemo:
             assert got_a == _per_letter_trace(w, fam_a, traj)
             assert got_b == _per_letter_trace(w, fam_b, traj)
             assert abs(got_a - got_b) > 1e-3
+
+
+class TestShards:
+    def test_results_in_input_order(self):
+        items = ["%d/7" % k for k in range(11)]
+        assert rmt.map_shards(F, items) == [F(k, 7) for k in range(11)]
+        assert rmt.map_shards(F, []) == []
+        assert rmt.map_shards(F, ["1/2"]) == [F(1, 2)]
+
+    def test_failure_names_first_failing_item(self):
+        # on two workers, worker 1 (items 1, 3, 5) stops at "1/0"; "x" never runs
+        with pytest.raises(ShardError) as info:
+            rmt.map_shards(F, ["1", "2", "3", "1/0", "5", "x"])
+        assert str(info.value).startswith("'1/0' failed: ZeroDivisionError")
+        assert "Traceback" in info.value.traceback
+        with pytest.raises(ChildProcessError):  # every worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_path_ranges_join_in_path_order(self, cpus, monkeypatch):
+        kw = dict(n_max=2, T=F(1, 2), N=8, paths=7, h=F(1, 8), base_seed=5)
+        monkeypatch.setattr(rmt, "_allowed_cpus", lambda: 1)
+        whole = rmt.finite_n_moment_ode_check(**kw)
+        monkeypatch.setattr(rmt, "_allowed_cpus", lambda: cpus)
+        assert rmt.finite_n_moment_ode_check(**kw) == whole
 
 
 class TestMomentCheck:
