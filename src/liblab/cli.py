@@ -160,10 +160,11 @@ def run_chi_orb(cfg):
 _STEP = Fraction(1, 50)
 
 
-def _empirical_liberation(N, seed, grid, path=0):
+def _empirical_liberation(N, seed, grid, horizon, path=0):
+    """One path of the two motions, stored at the grid times in (0, horizon]."""
     sigma0 = two_free_projections()
     family = rmt.build_initial_family(sigma0, N, strict=False)
-    times = [Fraction(t) for t in grid if Fraction(t) > 0]
+    times = [Fraction(t) for t in grid if 0 < t <= horizon]
     traj = rmt.simulate_trajectory(N, 2, times, _STEP, seed, path)
     return ratefn.EmpiricalTrajectory(family, [traj])
 
@@ -175,7 +176,8 @@ Trajectory = collections.namedtuple("Trajectory", "N seed_index")
 def _trajectory_d(seed, grid, m_max, l_max, item):
     """d(tau_N, tau^lib) on one trajectory, against a fresh oracle, so that
     the value does not depend on which trajectories ran before it."""
-    emp = _empirical_liberation(item.N, seed, grid, path=item.seed_index)
+    # the metric reads no time past m_max, so the path stops there
+    emp = _empirical_liberation(item.N, seed, grid, m_max, path=item.seed_index)
     oracle = LiberationState(two_free_projections(), 2)
     return ratefn.trajectory_metric_d(emp, oracle, m_max, l_max, grid, gen_ids=[(1, 1), (2, 1)])
 
@@ -231,10 +233,11 @@ def run_rate_minimizer(cfg):
     sigma0 = two_free_projections()
     tau = LiberationState(sigma0, 2)
     words = projection_test_words(cfg["word_times"], max_len=cfg["max_len"])
+    per_word = [ratefn.rate_integrand_eq9(tau, w, cfg["t_list"]) for w in words]
     rows = []
-    for t in cfg["t_list"]:
-        for w in words:
-            value, br = ratefn.rate_integrand_eq9(tau, w, Fraction(t))
+    for q, t in enumerate(cfg["t_list"]):
+        for w, results in zip(words, per_word):
+            value, br = results[q]
             rows.append(
                 (
                     ncalg.format_word(w),
@@ -446,6 +449,14 @@ def _validate(cfg):
         raise ConfigError(
             "grid must hold a time <= m_max = %d, got %s" % (cfg["m_max"], _list_text(cfg["grid"]))
         )
+    if "grid" in cfg:
+        off_step = [t for t in cfg["grid"] if t % _STEP]
+        if off_step:
+            # the motions are stored only at multiples of the step
+            raise ConfigError(
+                "grid times must be multiples of the step %s, got %s"
+                % (_STEP, _list_text(off_step))
+            )
     if "max_len" in cfg and cfg["max_len"] > PROP81_LENGTH_CAP:
         # the rate integrand expands every word through Prop 8.1
         raise ConfigError(

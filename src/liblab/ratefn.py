@@ -173,14 +173,16 @@ def chi_orb_mc(sigma, family, N, spec: NeighborhoodSpec, samples, base_seed, n_m
 # Rate integrand
 
 
-def rate_integrand_eq9(tau, P, t, s_points=8):
-    """(value, breakdown) of the rate integrand at trajectory tau and test
-    polynomial P, horizon t.
+def rate_integrand_eq9(tau, P, ts, s_points=8):
+    """[(value, breakdown), ...] of the rate integrand at trajectory tau and
+    test polynomial P, one entry per horizon t in ``ts``, in order.
 
     breakdown = {"shifted": tau^t(P), "reference": sigma0^lib(P),
                  "quadratic": (1/2) sum_k int_0^t ||E||^2 ds}.
     The s-integral uses the trapezoid rule on each interval between kink
-    points (word times), with ``s_points`` panels per interval.
+    points (0, t and the word times below t), with ``s_points`` panels per
+    interval. The s-integrand depends on P and s, not on t, so each node is
+    evaluated once per call for all horizons.
     """
     if not isinstance(tau, LiberationState):
         if isinstance(tau, TraceState):
@@ -194,42 +196,45 @@ def rate_integrand_eq9(tau, P, t, s_points=8):
         ref = tau
     if isinstance(P, Word):
         P = NCPolynomial.from_word(P)
-    t = ncalg._as_time(t)
     n = tau.n
-
-    shifted = complex(tau.time_shifted_moment(P, t)).real
     reference = complex(ref.moment(P)).real
 
-    # ||E(Pi^s(D_s^(k) P))||^2 summed over k, integrated over s in [0, t].
-    # The integrand vanishes for s past the largest word time.
+    # ||E(Pi^s(D_s^(k) P))||^2 summed over k, at node s in [0, t]. It
+    # vanishes for s past the largest word time.
     max_t = max((w.max_time() for w in P.terms), default=Fraction(0))
+    f = {}  # node s -> integrand, shared by the horizons of this call
 
     def integrand(s):
         if s >= max_t:
             return 0.0
-        total = 0.0
-        for k in range(1, n + 1):
-            E = NCPolynomial(
-                (w2, c2 * c)
-                for w, c in P.terms.items()
-                for w2, c2 in conditional_expectation_prop81(w, k, s, tau).terms.items()
-            )
-            total += tau.norm2_squared(E)
-        return total
+        if s not in f:
+            total = 0.0
+            for k in range(1, n + 1):
+                E = NCPolynomial(
+                    (w2, c2 * c)
+                    for w, c in P.terms.items()
+                    for w2, c2 in conditional_expectation_prop81(w, k, s, tau).terms.items()
+                )
+                total += tau.norm2_squared(E)
+            f[s] = total
+        return f[s]
 
-    quad = 0.0
-    kinks = _kink_times_capped(P, t)
-    for a, b in zip(kinks, kinks[1:]):
-        if a >= max_t:
-            continue
-        xs = [a + (b - a) * Fraction(q, s_points) for q in range(s_points + 1)]
-        ys = [integrand(x) for x in xs]
-        quad += float(np.trapezoid(ys, [float(x) for x in xs]))
-    quad *= 0.5
-
-    value = shifted - reference - quad
-    breakdown = {"shifted": shifted, "reference": reference, "quadratic": quad}
-    return value, breakdown
+    out = []
+    for t in ts:
+        t = ncalg._as_time(t)
+        shifted = complex(tau.time_shifted_moment(P, t)).real
+        quad = 0.0
+        kinks = _kink_times_capped(P, t)
+        for a, b in zip(kinks, kinks[1:]):
+            if a >= max_t:
+                continue
+            xs = [a + (b - a) * Fraction(q, s_points) for q in range(s_points + 1)]
+            ys = [integrand(x) for x in xs]
+            quad += float(np.trapezoid(ys, [float(x) for x in xs]))
+        quad *= 0.5
+        value = shifted - reference - quad
+        out.append((value, {"shifted": shifted, "reference": reference, "quadratic": quad}))
+    return out
 
 
 def _kink_times_capped(P: NCPolynomial, t: Fraction):

@@ -201,9 +201,8 @@ def test_criterion_09_minimizer_property():
     )
     assert len(words) == 20
     max_val, min_val_best = -math.inf, -math.inf
-    for t in (F(1, 2), F(1), F(2)):
-        for w in words:
-            value, _ = ratefn.rate_integrand_eq9(tau, w, t, s_points=4)
+    for w in words:
+        for value, _ in ratefn.rate_integrand_eq9(tau, w, (F(1, 2), F(1), F(2)), s_points=4):
             max_val = max(max_val, value)
             min_val_best = max(min_val_best, value)
     ok = max_val <= 1e-8 and min_val_best >= -1e-2

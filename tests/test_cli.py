@@ -1,14 +1,16 @@
 """Command-line runner: exit codes, config/flag precedence, CSV output."""
 
+import functools
 import inspect
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import liblab
-from liblab import __version__, cli
+from liblab import __version__, cli, rmt
 
 
 def run_main(argv):
@@ -115,6 +117,8 @@ class TestExitCodes:
             (["prop81-check", "--s-list", ","], "s_list must be nonempty with every entry >= 0, got an empty list"),
             (["metric", "--grid", "-1/2"], "grid must be nonempty with every entry >= 0, got -1/2"),
             (["metric", "--grid", "-1/2,1"], "grid must be nonempty with every entry >= 0, got -1/2,1"),
+            (["metric", "--grid", "0,1/3"], "grid times must be multiples of the step 1/50, got 1/3"),
+            (["liberation-convergence", "--grid", "0,1/3"], "grid times must be multiples of the step 1/50, got 1/3"),
         ],
     )
     def test_bad_time_list_is_config_error(self, argv, message, monkeypatch, capsys):
@@ -329,18 +333,27 @@ class TestShards:
             csvs.append(out.read_bytes())
         assert csvs[0] == csvs[1]
 
-    def test_failure_is_clean(self, tmp_path, capsys):
-        argv = ["liberation-convergence", "--N-list", "16,128", "--seeds", "2", "--m-max", "1",
+    def test_failure_is_clean(self, tmp_path, monkeypatch, capsys):
+        name = "liberation-convergence"
+        argv = [name, "--N-list", "16,128", "--seeds", "2", "--grid", "0,1/2", "--m-max", "1",
                 "--l-max", "2"]
         out = tmp_path / "x.csv"
-        assert run_main(argv + ["--grid", "0,1/2", "--out", str(out)]) == 0
+        assert run_main(argv + ["--out", str(out)]) == 0
         with pytest.raises(ChildProcessError):  # no worker left unreaped
             os.waitpid(-1, os.WNOHANG)
         out.unlink()
-        # 1/3 is off the 1/50 step grid, so every trajectory raises GridMiss
-        assert run_main(argv + ["--grid", "0,1/3", "--out", str(out)]) == 3
+
+        def run_failing(cfg):
+            # path -1 has no random stream, so the second worker raises
+            fn = functools.partial(cli._trajectory_d, cfg["seed"], cfg["grid"], cfg["m_max"],
+                                   cfg["l_max"])
+            rmt.map_shards(fn, [cli.Trajectory(16, 0), cli.Trajectory(16, -1)])
+
+        monkeypatch.setitem(cli._EXPERIMENTS, name, (run_failing, cli._EXPERIMENTS[name][1]))
+        monkeypatch.setattr(rmt, "_allowed_cpus", lambda: 2)
+        assert run_main(argv + ["--out", str(out)]) == 3
         err = capsys.readouterr().err
-        assert "error: Trajectory(N=16, seed_index=0) failed: GridMiss: sample time 1/3" in err
+        assert "error: Trajectory(N=16, seed_index=-1) failed: ValueError" in err
         assert list(tmp_path.iterdir()) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -360,6 +373,27 @@ class TestUbmMomentsRunner:
         for row in rows:
             float(row[header.index("ode")])
             float(row[header.index("gap")])
+
+
+class TestMetricRunner:
+    def test_times_past_m_max_are_not_simulated(self, tmp_path, monkeypatch):
+        # the metric reads no time past m_max = 2: a grid time 40 changes
+        # neither d nor the simulated path
+        stored = []
+        simulate = rmt.simulate_trajectory
+
+        def recorded(N, n_motions, sample_times, *args, **kw):
+            stored.append(sorted(sample_times))
+            return simulate(N, n_motions, sample_times, *args, **kw)
+
+        monkeypatch.setattr(rmt, "simulate_trajectory", recorded)
+        ds = []
+        for grid in ("0,1/2,1", "0,1/2,1,40"):
+            out = tmp_path / "m.csv"
+            assert run_main(["metric", "--N", "16", "--grid", grid, "--out", str(out)]) == 0
+            ds.append(read_lines(out)[-1])
+        assert ds[0] == ds[1]
+        assert stored == [[Fraction(1, 2), Fraction(1)]] * 2
 
 
 class TestProp81Runner:

@@ -13,6 +13,7 @@ from liblab.freestate import (
     InitialLaw,
     LiberationState,
     MarginalLaw,
+    conditional_expectation_prop81,
     free_product_limit_state,
 )
 from liblab.ncalg import NCPolynomial, Word, Xs, format_word
@@ -233,13 +234,13 @@ class TestRateIntegrand:
         self.tau = LiberationState(two_projections(), 2)
 
     def test_scalar_is_exact_zero(self):
-        value, br = rate_integrand_eq9(self.tau, NCPolynomial.scalar(1.0), F(1))
+        [(value, br)] = rate_integrand_eq9(self.tau, NCPolynomial.scalar(1.0), [F(1)])
         assert value == 0.0
         assert br["quadratic"] == 0.0
 
     def test_breakdown_consistent(self):
         w = Word((Xs(1, 1, F(1, 2)), Xs(2, 1, F(1, 2))))
-        value, br = rate_integrand_eq9(self.tau, w, F(1), s_points=4)
+        [(value, br)] = rate_integrand_eq9(self.tau, w, [F(1)], s_points=4)
         assert value == pytest.approx(
             br["shifted"] - br["reference"] - br["quadratic"], abs=1e-14
         )
@@ -252,7 +253,7 @@ class TestRateIntegrand:
             Word((Xs(1, 1, F(1, 2)),)),
             Word((Xs(1, 1, F(1, 2)), Xs(2, 1, F(1, 2)))),
         ):
-            value, br = rate_integrand_eq9(self.tau, w, F(1), s_points=4)
+            [(value, br)] = rate_integrand_eq9(self.tau, w, [F(1)], s_points=4)
             assert value <= 1e-10
             assert abs(br["shifted"] - br["reference"]) < 1e-9
 
@@ -263,15 +264,44 @@ class TestRateIntegrand:
         fr = free_product_limit_state(sigma0, 2)
         w = Word((Xs(1, 1, F(1, 2)), Xs(2, 1, F(1, 2))))
         P = (NCPolynomial.from_word(w) + NCPolynomial.from_word(w).adjoint()) * (-1)
-        value, _ = rate_integrand_eq9(fr, P, F(1), s_points=4)
+        [(value, _)] = rate_integrand_eq9(fr, P, [F(1)], s_points=4)
         assert value > 0.01
 
     def test_word_input_accepted(self):
         w = Word((Xs(1, 1, F(1, 2)),))
-        v1, _ = rate_integrand_eq9(self.tau, w, F(1), s_points=4)
-        v2, _ = rate_integrand_eq9(self.tau, NCPolynomial.from_word(w), F(1), s_points=4)
+        [(v1, _)] = rate_integrand_eq9(self.tau, w, [F(1)], s_points=4)
+        [(v2, _)] = rate_integrand_eq9(self.tau, NCPolynomial.from_word(w), [F(1)], s_points=4)
         assert v1 == v2
 
     def test_rejects_non_oracle(self):
         with pytest.raises(UnsupportedState):
-            rate_integrand_eq9(lambda w: 0.0, NCPolynomial.scalar(1.0), F(1))
+            rate_integrand_eq9(lambda w: 0.0, NCPolynomial.scalar(1.0), [F(1)])
+
+    def test_horizon_list_matches_single_horizons(self):
+        # word times 1/4 and 1/2; horizons above, at and below the largest,
+        # t = 0, and a repeat
+        P = NCPolynomial.from_word(Word((Xs(1, 1, F(1, 2)), Xs(2, 1, F(1, 4))))) + (
+            NCPolynomial.from_word(Word((Xs(2, 1, F(1, 2)),))) * 0.5
+        )
+        ts = [F(2), F(1, 2), F(1, 3), F(0), F(1, 2), F(1, 8)]
+        together = rate_integrand_eq9(self.tau, P, ts, s_points=4)
+        alone = [rate_integrand_eq9(self.tau, P, [t], s_points=4)[0] for t in ts]
+        assert together == alone
+        assert together[3][1]["quadratic"] == 0.0
+        assert rate_integrand_eq9(self.tau, P, [], s_points=4) == []
+
+    @pytest.mark.parametrize("ts", [[F(1)], [F(1, 2), F(1), F(2)]])
+    def test_prop81_once_per_node(self, ts, monkeypatch):
+        # one word at time 1/2, n = 2: the 8 nodes in [0, 1/2) times 2 motions,
+        # however many horizons >= 1/2 share them
+        calls = []
+
+        def counted(w, k, s, tau):
+            calls.append((w, k, s))
+            return conditional_expectation_prop81(w, k, s, tau)
+
+        monkeypatch.setattr(ratefn, "conditional_expectation_prop81", counted)
+        w = Word((Xs(1, 1, F(1, 2)), Xs(2, 1, F(1, 2))))
+        rate_integrand_eq9(self.tau, w, ts, s_points=8)
+        assert len(calls) == 16
+        assert len(set(calls)) == 16
