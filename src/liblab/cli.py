@@ -172,29 +172,48 @@ def _empirical_liberation(N, seed, grid, horizon, path=0):
 # One trajectory of liberation-convergence: path seed_index at dimension N.
 Trajectory = collections.namedtuple("Trajectory", "N seed_index")
 
+# The metric's alphabet: the two projections' generators.
+_METRIC_IDS = [(1, 1), (2, 1)]
 
-def _trajectory_d(seed, grid, m_max, l_max, item):
-    """d(tau_N, tau^lib) on one trajectory, against a fresh oracle, so that
-    the value does not depend on which trajectories ran before it."""
+
+def _oracle_table(grid, m_max, l_max):
+    """tau^lib of every word the metric reads, from one fresh oracle in the
+    metric's own order: the values that a fresh oracle gives inside
+    ``trajectory_metric_d``, so that no trajectory's value depends on which
+    trajectories ran before it. The oracle is dropped on return."""
+    oracle = LiberationState(two_free_projections(), 2)
+    words = ratefn.trajectory_metric_words(m_max, l_max, grid, gen_ids=_METRIC_IDS)
+    return {w: oracle.moment(w) for w in words}
+
+
+def _trajectory_d(seed, grid, m_max, l_max, table, item):
+    """d(tau_N, tau^lib) on one trajectory, with the liberation moments read
+    from ``table`` (``_oracle_table`` of the same grid, m_max and l_max)."""
     # the metric reads no time past m_max, so the path stops there
     emp = _empirical_liberation(item.N, seed, grid, m_max, path=item.seed_index)
-    oracle = LiberationState(two_free_projections(), 2)
-    return ratefn.trajectory_metric_d(emp, oracle, m_max, l_max, grid, gen_ids=[(1, 1), (2, 1)])
+    return ratefn.trajectory_metric_d(
+        emp, table.__getitem__, m_max, l_max, grid, gen_ids=_METRIC_IDS
+    )
 
 
 def run_liberation_convergence(cfg):
     grid = [Fraction(t) for t in cfg["grid"]]
+    table = _oracle_table(grid, cfg["m_max"], cfg["l_max"])
     items = [Trajectory(N, s) for N in cfg["N_list"] for s in range(cfg["seeds"])]
     # interleaved over the workers, so each gets some of the largest N
     ds = rmt.map_shards(
-        functools.partial(_trajectory_d, cfg["seed"], grid, cfg["m_max"], cfg["l_max"]), items
+        functools.partial(_trajectory_d, cfg["seed"], grid, cfg["m_max"], cfg["l_max"], table),
+        items,
     )
     return ["N", "seed_index", "d"], [(N, s, repr(d)) for (N, s), d in zip(items, ds)]
 
 
 def run_metric(cfg):
     grid = [Fraction(t) for t in cfg["grid"]]
-    d = _trajectory_d(cfg["seed"], grid, cfg["m_max"], cfg["l_max"], Trajectory(cfg["N"], 0))
+    table = _oracle_table(grid, cfg["m_max"], cfg["l_max"])
+    d = _trajectory_d(
+        cfg["seed"], grid, cfg["m_max"], cfg["l_max"], table, Trajectory(cfg["N"], 0)
+    )
     return ["N", "d"], [(cfg["N"], repr(d))]
 
 

@@ -76,6 +76,10 @@ class GeneratorSymbol:
     def __setattr__(self, *_):
         raise AttributeError("GeneratorSymbol is immutable")
 
+    def __reduce__(self):
+        # through the constructor: the hash of ``kind`` differs per process
+        return GeneratorSymbol, (self.kind, self.i, self.j, self.t)
+
     def _key(self):
         return (self.kind, self.i, self.j, self.t)
 
@@ -143,6 +147,9 @@ class Word:
 
     def __setattr__(self, *_):
         raise AttributeError("Word is immutable")
+
+    def __reduce__(self):
+        return Word, (self.letters,)
 
     def __eq__(self, other):
         return isinstance(other, Word) and self.letters == other.letters

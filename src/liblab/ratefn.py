@@ -46,7 +46,8 @@ class EmpiricalTrajectory:
     resolved paths (trajectories or Haar tuples) of a fixed initial family.
 
     Each resolver has its own letter memo, so a letter's matrix is formed
-    once per resolver however many words use it."""
+    once per resolver however many words use it, and a word reuses the
+    prefix product of the word before it when they share that prefix."""
 
     def __init__(self, family, resolvers):
         self.family = family
@@ -71,14 +72,10 @@ def _moment_of(evaluator, word):
 # Trajectory metric (truncated)
 
 
-def trajectory_metric_d(t1, t2, m_max, l_max, grid, gen_ids=None) -> float:
-    """Truncated metric: sum over m <= m_max, l <= l_max of 2^{-m-l} times the
-    max over words of length l (indices <= m) with letter times from ``grid``
-    (restricted to [0, m]) of min(|Delta moment|, 1).
-
-    ``gen_ids`` optionally restricts the generator alphabet (still filtered
-    by the index cap m at each level)."""
-    total = 0.0
+def _metric_levels(m_max, l_max, grid, gen_ids=None):
+    """(m, l, words) for each level of the truncated metric, in order;
+    ``words`` iterates over the level's words, the last letter's time
+    innermost."""
     for m in range(1, m_max + 1):
         times_m = [t for t in grid if 0 <= t <= m]
         if gen_ids is None:
@@ -88,17 +85,40 @@ def trajectory_metric_d(t1, t2, m_max, l_max, grid, gen_ids=None) -> float:
         if not ids or not times_m:
             continue
         for ell in range(1, l_max + 1):
-            worst = 0.0
-            for combo in itertools.product(ids, repeat=ell):
-                for ts in itertools.product(times_m, repeat=ell):
-                    w = Word(tuple(Xs(i, j, t) for (i, j), t in zip(combo, ts)))
-                    delta = abs(_moment_of(t1, w) - _moment_of(t2, w))
-                    worst = max(worst, min(delta, 1.0))
-                    if worst >= 1.0:
-                        break
-                if worst >= 1.0:
-                    break
-            total += 2.0 ** (-m - ell) * worst
+            words = (
+                Word(tuple(Xs(i, j, t) for (i, j), t in zip(combo, ts)))
+                for combo in itertools.product(ids, repeat=ell)
+                for ts in itertools.product(times_m, repeat=ell)
+            )
+            yield m, ell, words
+
+
+def trajectory_metric_words(m_max, l_max, grid, gen_ids=None):
+    """The distinct words that ``trajectory_metric_d`` reads, in the order it
+    first reads them."""
+    levels = _metric_levels(m_max, l_max, grid, gen_ids)
+    return list(dict.fromkeys(w for _m, _ell, words in levels for w in words))
+
+
+def trajectory_metric_d(t1, t2, m_max, l_max, grid, gen_ids=None) -> float:
+    """Truncated metric: sum over m <= m_max, l <= l_max of 2^{-m-l} times the
+    max over words of length l (indices <= m) with letter times from ``grid``
+    (restricted to [0, m]) of min(|Delta moment|, 1).
+
+    ``gen_ids`` optionally restricts the generator alphabet (still filtered
+    by the index cap m at each level). A word that several levels share is
+    evaluated once per call, on both sides."""
+    total = 0.0
+    gaps = {}  # word -> min(|Delta moment|, 1)
+    for m, ell, words in _metric_levels(m_max, l_max, grid, gen_ids):
+        worst = 0.0
+        for w in words:
+            if w not in gaps:
+                gaps[w] = min(abs(_moment_of(t1, w) - _moment_of(t2, w)), 1.0)
+            worst = max(worst, gaps[w])
+            if worst >= 1.0:
+                break
+        total += 2.0 ** (-m - ell) * worst
     return total
 
 

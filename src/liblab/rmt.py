@@ -333,31 +333,48 @@ def _letter(sym, family, resolver):
     return U if sym.kind == ncalg.V else U.conj().T
 
 
+# Memo key of the last prefix product: (letters, product of their matrices).
+_PREFIX = "prefix"
+
+
 def evaluate_word_trace(word: Word, family: InitialFamily, resolver, letters=None) -> complex:
     """Normalized trace of the word with X(i,j,t) -> U_i(t) xi_ij U_i(t)^*
     for i <= n (unconjugated for i > n) and V(i,t) -> U_i(t).
 
     ``resolver`` is a UnitaryTrajectory or HaarTuple; GridMiss propagates for
-    off-grid times. ``letters`` is an optional memo from letter to matrix,
-    valid for this one (family, resolver) pair; each letter is formed once
-    and a letter that fails is not stored.
+    off-grid times. ``letters`` is an optional memo, valid for this one
+    (family, resolver) pair. It maps each letter to its matrix, formed once;
+    a letter that fails is not stored. Under ``_PREFIX`` it also keeps the
+    product of all letter matrices but the last of the latest word with
+    three or more of them, which the next word with the same prefix reuses:
+    one N x N matrix per memo, the same left-to-right product as forming it
+    afresh.
     """
     if letters is None:
         letters = {}
-    mats = []
+    syms, mats = [], []
     for sym in word.letters:
         if sym not in letters:
             letters[sym] = _letter(sym, family, resolver)
         if letters[sym] is not None:
+            syms.append(sym)
             mats.append(letters[sym])
     if not mats:
         return complex(1.0)
+    if len(mats) == 1:
+        return complex(np.trace(mats[0]) / family.N)
     M = mats[0]
-    for L in mats[1:-1]:
-        M = M @ L
-    if len(mats) > 1:  # the last product only through its trace
-        return complex(np.einsum("ij,ji->", M, mats[-1]) / family.N)
-    return complex(np.trace(M) / family.N)
+    if len(mats) > 2:
+        head = tuple(syms[:-1])
+        last = letters.get(_PREFIX)
+        if last is not None and last[0] == head:
+            M = last[1]
+        else:
+            for L in mats[1:-1]:
+                M = M @ L
+            letters[_PREFIX] = (head, M)
+    # the last product only through its trace
+    return complex(np.einsum("ij,ji->", M, mats[-1]) / family.N)
 
 
 # ---------------------------------------------------------------------------

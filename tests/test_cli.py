@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 import liblab
-from liblab import __version__, cli, rmt
+from liblab import __version__, cli, ratefn, rmt
+from liblab.freestate import LiberationState
 
 
 def run_main(argv):
@@ -345,8 +346,9 @@ class TestShards:
 
         def run_failing(cfg):
             # path -1 has no random stream, so the second worker raises
+            table = cli._oracle_table(cfg["grid"], cfg["m_max"], cfg["l_max"])
             fn = functools.partial(cli._trajectory_d, cfg["seed"], cfg["grid"], cfg["m_max"],
-                                   cfg["l_max"])
+                                   cfg["l_max"], table)
             rmt.map_shards(fn, [cli.Trajectory(16, 0), cli.Trajectory(16, -1)])
 
         monkeypatch.setitem(cli._EXPERIMENTS, name, (run_failing, cli._EXPERIMENTS[name][1]))
@@ -394,6 +396,20 @@ class TestMetricRunner:
             ds.append(read_lines(out)[-1])
         assert ds[0] == ds[1]
         assert stored == [[Fraction(1, 2), Fraction(1)]] * 2
+
+    def test_table_matches_fresh_oracle(self):
+        # one table serves every trajectory with a fresh oracle's values
+        grid, m_max, l_max, seed = [Fraction(0), Fraction(1, 2), Fraction(1)], 2, 3, 7
+        table = cli._oracle_table(grid, m_max, l_max)
+        for N in (16, 32):
+            for s in (0, 1):
+                got = cli._trajectory_d(seed, grid, m_max, l_max, table, cli.Trajectory(N, s))
+                emp = cli._empirical_liberation(N, seed, grid, m_max, path=s)
+                fresh = LiberationState(cli.two_free_projections(), 2)
+                want = ratefn.trajectory_metric_d(
+                    emp, fresh, m_max, l_max, grid, gen_ids=[(1, 1), (2, 1)]
+                )
+                assert got == want
 
 
 class TestProp81Runner:

@@ -1,11 +1,12 @@
 """Symbolic word algebra, liberation derivation, cyclic derivative, Pi^s."""
 
+import pickle
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from liblab import ncalg
+from liblab import ncalg, rmt
 from liblab.errors import NonXPolynomial
 from liblab.ncalg import (
     EMPTY_WORD,
@@ -109,6 +110,38 @@ class TestWords:
         with pytest.raises(TypeError):
             Xs(1, 1, 0.1)
         assert Xs(1, 1, 0.5).t == F(1, 2)  # exact dyadic ok
+
+
+def _pickle_words():
+    a = F(1, 3)
+    return [
+        EMPTY_WORD,
+        Word((Xs(1, 1, 0),)),
+        Word((Xs(2, 1, a), Vs(1, a), Xs(1, 2, 1), VsStar(2, F(1, 2)))),
+        Word((Vs(3, 2), Xs(3, 1, a))),
+    ]
+
+
+class TestPickle:
+    def test_round_trip_in_process(self):
+        syms = [Xs(1, 1, 0), Xs(2, 1, F(1, 3)), Vs(1, F(1, 2)), VsStar(2, 1)]
+        for obj in syms + _pickle_words():
+            back = pickle.loads(pickle.dumps(obj))
+            assert back == obj and hash(back) == hash(obj)
+
+    def test_round_trip_through_workers(self, monkeypatch):
+        monkeypatch.setattr(rmt, "_allowed_cpus", lambda: 2)
+        words = _pickle_words()
+        table = {w: k for k, w in enumerate(words)}
+        shards = [tuple(words[:2]), tuple(words[2:])]
+        returned = rmt.map_shards(dict.fromkeys, shards)  # keyed in the worker
+        assert [table[w] for got in returned for w in got] == list(range(len(words)))
+        for got, shard in zip(returned, shards):
+            assert all(w in got for w in shard)
+        # the symbol hash hashes the kind string, which differs per process:
+        # words built in a worker are found here only if rehashed on receipt
+        built = rmt.map_shards(parse_word, [format_word(w) for w in words])
+        assert [table[w] for w in built] == list(range(len(words)))
 
 
 class TestDerivation:

@@ -1,6 +1,8 @@
 """Trajectory metric, moment neighborhoods, orbital-entropy Monte Carlo, and
 the rate integrand."""
 
+import collections
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -25,6 +27,7 @@ from liblab.ratefn import (
     neighborhood_member,
     rate_integrand_eq9,
     trajectory_metric_d,
+    trajectory_metric_words,
     words_up_to,
 )
 
@@ -134,6 +137,48 @@ class TestMetric:
         }
         for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
             assert d[(a, b)] <= d[(a, c)] + d[(c, b)] + 1e-12
+
+    def test_each_word_evaluated_once(self):
+        # the liberation-convergence defaults: 297 words over the levels,
+        # 258 distinct, since level 1's 39 words recur at level 2
+        grid, m_max, l_max = [F(0), F(1, 2), F(1)], 2, 3
+        fam = rmt.build_initial_family(two_projections(), 8)
+        traj = rmt.simulate_trajectory(8, 2, [F(1, 2), F(1)], F(1, 10), base_seed=4)
+        calls = [collections.Counter(), collections.Counter()]
+
+        def counted(side, state):
+            def moment(w):
+                calls[side][w] += 1
+                return state.moment(w)
+
+            return moment
+
+        emp, oracle = EmpiricalTrajectory(fam, [traj]), LiberationState(two_projections(), 2)
+        d = trajectory_metric_d(counted(0, emp), counted(1, oracle), m_max, l_max, grid, GEN_IDS)
+        for side in calls:
+            assert sum(side.values()) == len(side) == 258
+        assert list(calls[0]) == trajectory_metric_words(m_max, l_max, grid, GEN_IDS)
+
+        def recomputed(w):
+            return min(
+                abs(
+                    EmpiricalTrajectory(fam, [traj]).moment(w)
+                    - LiberationState(two_projections(), 2).moment(w)
+                ),
+                1.0,
+            )
+
+        ref = 0.0
+        for m in range(1, m_max + 1):
+            ids = [g for g in GEN_IDS if g[0] <= m]
+            for ell in range(1, l_max + 1):
+                words = [
+                    Word(tuple(Xs(i, j, t) for (i, j), t in zip(combo, ts)))
+                    for combo in itertools.product(ids, repeat=ell)
+                    for ts in itertools.product(grid, repeat=ell)
+                ]
+                ref += 2.0 ** (-m - ell) * max(recomputed(w) for w in words)
+        assert d == ref
 
     def test_distinguishes_free_from_liberated(self):
         sigma0 = correlated_projections()

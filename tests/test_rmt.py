@@ -437,6 +437,40 @@ class TestLetterMemo:
             rmt.evaluate_word_trace(off_grid, fam, traj, memo)
         assert Xs(2, 1, F(3, 20)) not in memo
 
+    @pytest.mark.parametrize("kind", ["trajectory", "haar"])
+    def test_prefix_reuse_keeps_numbers_exact(self, kind):
+        fam = three_row_family(8)
+        res = _resolvers(8)[kind]
+        a, b = F(1, 10), F(1, 5)
+        lasts = [Xs(1, 1, a), Xs(2, 1, b), Xs(3, 1, 0), Vs(1, a), VsStar(3, b)]
+        # prefixes that differ in their last letter only, the last letter innermost
+        shared = [
+            Word(w.letters[:k] + (mid, last))
+            for w in _letter_words()
+            for k in (1, 2)
+            if len(w) > k
+            for mid in lasts
+            for last in lasts
+        ]
+        words = _letter_words() + shared
+        memo = {}
+        for order in (words, words[::-1], words[::2] + words[1::2], words[1::3] + words[::-3]):
+            for w in order:
+                assert rmt.evaluate_word_trace(w, fam, res, memo) == _per_letter_trace(w, fam, res)
+
+    def test_off_grid_last_letter_keeps_prefix_exact(self):
+        fam = three_row_family(8)
+        traj = _resolvers(8)["trajectory"]
+        head = (Xs(1, 1, F(1, 10)), Xs(2, 1, F(1, 5)))
+        before, after = Word(head + (Xs(1, 1, 0),)), Word(head + (Xs(2, 1, F(1, 10)),))
+        off_grid = Word(head + (Xs(2, 1, F(3, 20)),))
+        memo = {}
+        assert rmt.evaluate_word_trace(before, fam, traj, memo) == _per_letter_trace(before, fam, traj)
+        with pytest.raises(GridMiss):
+            rmt.evaluate_word_trace(off_grid, fam, traj, memo)
+        assert Xs(2, 1, F(3, 20)) not in memo
+        assert rmt.evaluate_word_trace(after, fam, traj, memo) == _per_letter_trace(after, fam, traj)
+
     def test_memo_does_not_leak_across_families(self):
         traj = _resolvers(8)["trajectory"]
         fam_a, fam_b = three_row_family(8), three_row_family(8, sign_law=True)
