@@ -43,7 +43,8 @@ def free_ubm_moment(n: int, t) -> float:
     e^{-nt/2} sum_{k<n} (-t)^k/k! n^{k-1} C(n, k+1) (Biane 1997).
 
     The alternating polynomial cancels catastrophically in floats for large
-    n, so it is summed exactly in the rational value of t.
+    n, so it is summed exactly in rationals at the binary value of
+    ``float(t)`` (a Fraction time such as 1/3 is rounded to a float first).
     """
     if n < 0:
         raise ValueError("moment order must be >= 0")
@@ -199,19 +200,38 @@ class FreeMomentEngine:
     Cumulant tables are kept per law: one per component of the initial law,
     and one per increment length, shared by every motion. No table refers
     back to the engine, so a dropped state frees its memos at once.
+
+    ``moment`` gives each free letter ``(color id, elem)`` a small integer
+    code the first time it meets it, and the recursion and its memo run over
+    tuples of codes. Each ``TraceState`` keeps the value of every ``Word`` it
+    evaluated, so a repeated word is expanded once per state. Every memo
+    goes with its state.
     """
 
     def __init__(self, sigma0: InitialLaw | None):
         self.sigma0 = sigma0
-        self._moment_memo = {}
+        self._moment_memo = {}  # word of letter codes -> moment
+        self._float_memo = {}  # word of letter codes -> float of a Fraction moment
         self._color_ids = {}  # free variable -> color id
         self._tables = []  # color id -> CumulantFunctional of its law
         self._laws = {}  # law -> CumulantFunctional
+        self._codes = {}  # free letter (color id, elem) -> letter code
+        self._code_color = []  # letter code -> color id
+        self._code_elem = []  # letter code -> elem
 
     # -- public ------------------------------------------------------------
 
     def moment(self, letters) -> complex:
-        return self._moment(self._free_letters(letters))
+        codes = self._codes
+        word = []
+        for letter in self._free_letters(letters):
+            code = codes.get(letter)
+            if code is None:
+                code = codes[letter] = len(self._code_color)
+                self._code_color.append(letter[0])
+                self._code_elem.append(letter[1])
+            word.append(code)
+        return self._moment(tuple(word)) if word else 1
 
     # -- engine ------------------------------------------------------------
 
@@ -267,25 +287,48 @@ class FreeMomentEngine:
             self._tables.append(table)
         return cid
 
-    def _moment(self, letters):
-        if not letters:
-            return 1
-        hit = self._moment_memo.get(letters)
-        if hit is not None:
-            return hit
-        color0 = letters[0][0]
-        positions = [p for p in range(1, len(letters)) if letters[p][0] == color0]
-        table = self._tables[color0]
-        total = 0
-        for block, gaps in first_block_splits(len(letters), positions):
-            prod = table.kappa(tuple(letters[p][1] for p in block))
+    def _moment(self, word):
+        """Moment of a nonempty word of letter codes.
+
+        Exact laws stay exact. A Fraction that meets a float is turned into a
+        float first, which gives the bytes of Fraction's own operator
+        fallback, ``float(a) op float(b)``, without its dispatch; the float
+        of a memoised Fraction moment is kept."""
+        memo = self._moment_memo
+        color = self._code_color
+        elem = self._code_elem
+        color0 = color[word[0]]
+        positions = [p for p in range(1, len(word)) if color[word[p]] == color0]
+        kappa = self._tables[color0].kappa
+        total = None  # the first nonzero term, as 0 + term would give
+        for block, gaps in first_block_splits(len(word), positions):
+            prod = kappa(tuple(elem[word[p]] for p in block))
             for a, b in gaps:
                 if prod == 0:
                     break
-                prod = prod * self._moment(letters[a:b])
+                sub = word[a:b]
+                m = memo.get(sub)
+                if m is None:
+                    m = self._moment(sub)
+                if type(prod) is float and type(m) is Fraction:
+                    m = self._float_memo.get(sub)
+                    if m is None:
+                        m = self._float_memo[sub] = float(memo[sub])
+                elif type(prod) is Fraction and type(m) is float:
+                    prod = float(prod)
+                prod = prod * m
             if prod != 0:
-                total = total + prod
-        self._moment_memo[letters] = total
+                if total is None:
+                    total = prod
+                elif type(total) is float and type(prod) is Fraction:
+                    total = total + float(prod)
+                elif type(total) is Fraction and type(prod) is float:
+                    total = float(total) + prod
+                else:
+                    total = total + prod
+        if total is None:
+            total = 0
+        memo[word] = total
         return total
 
 
@@ -301,6 +344,7 @@ class TraceState:
         self.sigma0 = sigma0
         self.n = n_motions
         self.engine = FreeMomentEngine(sigma0)
+        self._words = {}  # Word -> tau-tilde of it
 
     # Subclasses define how one X letter expands into engine letters.
     def _x_letters(self, sym):
@@ -320,13 +364,16 @@ class TraceState:
         return tuple(out)
 
     def _word_moment(self, word: Word):
-        letters = self._letters(word)
-        if len(letters) > WORD_LENGTH_CAP:
-            raise DegreeOverflow(
-                "word of %d letters expands to %d engine letters, over the cap of %d"
-                % (len(word), len(letters), WORD_LENGTH_CAP)
-            )
-        return self.engine.moment(letters)
+        hit = self._words.get(word)
+        if hit is None:
+            letters = self._letters(word)
+            if len(letters) > WORD_LENGTH_CAP:
+                raise DegreeOverflow(
+                    "word of %d letters expands to %d engine letters, over the cap of %d"
+                    % (len(word), len(letters), WORD_LENGTH_CAP)
+                )
+            hit = self._words[word] = self.engine.moment(letters)
+        return hit
 
     def extended_moment(self, p) -> complex:
         """tau-tilde of a mixed X/V polynomial."""

@@ -235,13 +235,6 @@ class CumulantFunctional:
             out *= self.kappa(tuple(args[e - 1] for e in b))
         return out
 
-    def moment_from_cumulants(self, args):
-        """Forward sum over NC: reproduces the moment (round-trip check)."""
-        args = tuple(args)
-        if not args:
-            return 1
-        return sum(self.kappa_pi(pi, args) for pi in _nc_cached(len(args)))
-
 
 def scalar_cumulants(moments, n: int):
     """Free cumulants kappa_1..kappa_n of a single variable.

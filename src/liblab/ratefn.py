@@ -204,16 +204,14 @@ def rate_integrand_eq9(tau, P, ts, s_points=8):
     interval. The s-integrand depends on P and s, not on t, so each node is
     evaluated once per call for all horizons.
     """
-    if not isinstance(tau, LiberationState):
-        if isinstance(tau, TraceState):
-            ref = LiberationState(tau.sigma0, tau.n)
-        else:
-            raise UnsupportedState(
-                "rate_integrand_eq9 needs an oracle TraceState (conditional "
-                "expectations are not computable for empirical trajectories)"
-            )
-    else:
-        ref = tau
+    if not isinstance(tau, TraceState):
+        raise UnsupportedState(
+            "rate_integrand_eq9 needs an oracle TraceState (conditional "
+            "expectations are not computable for empirical trajectories)"
+        )
+    # A subclass of LiberationState (a time-changed motion, say) is not
+    # sigma0^lib, so only the class itself serves as its own reference.
+    ref = tau if type(tau) is LiberationState else LiberationState(tau.sigma0, tau.n)
     if isinstance(P, Word):
         P = NCPolynomial.from_word(P)
     n = tau.n

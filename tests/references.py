@@ -1,0 +1,57 @@
+"""Independent references that tests compare the library against."""
+
+from fractions import Fraction
+
+from liblab.ncpart import enumerate_nc, first_block_splits
+
+
+def moment_from_cumulants(cf, args):
+    """Forward sum over NC(k) of ``cf``'s cumulant products: reproduces the
+    moment that ``cf`` was built from (round-trip check)."""
+    args = tuple(args)
+    if not args:
+        return 1
+    return sum(cf.kappa_pi(pi, args) for pi in enumerate_nc(len(args)))
+
+
+class TupleLetterMoment:
+    """The engine's first-block recursion over free letters ``(color id,
+    elem)`` as plain tuples, with Python's own operators mixing the number
+    types. It reads a ``FreeMomentEngine``'s free letters and cumulant tables
+    only; ``mixed`` records whether a Fraction ever met a float."""
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.memo = {}
+        self.mixed = False
+
+    def __call__(self, letters):
+        return self._moment(self.engine._free_letters(letters))
+
+    def _moment(self, letters):
+        if not letters:
+            return 1
+        hit = self.memo.get(letters)
+        if hit is not None:
+            return hit
+        color0 = letters[0][0]
+        positions = [p for p in range(1, len(letters)) if letters[p][0] == color0]
+        table = self.engine._tables[color0]
+        total = 0
+        for block, gaps in first_block_splits(len(letters), positions):
+            prod = table.kappa(tuple(letters[p][1] for p in block))
+            for a, b in gaps:
+                if prod == 0:
+                    break
+                m = self._moment(letters[a:b])
+                self._note(prod, m)
+                prod = prod * m
+            if prod != 0:
+                self._note(total, prod)
+                total = total + prod
+        self.memo[letters] = total
+        return total
+
+    def _note(self, a, b):
+        if {type(a), type(b)} == {Fraction, float}:
+            self.mixed = True

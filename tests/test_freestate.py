@@ -13,6 +13,7 @@ from liblab import ncalg
 from liblab.errors import DegreeOverflow, NonXPolynomial, SizeLimit, UnsupportedWord
 from liblab.freestate import (
     AtomicComponent,
+    FreeMomentEngine,
     FreeProductState,
     InitialLaw,
     LiberationState,
@@ -24,7 +25,8 @@ from liblab.freestate import (
     lemma51_bound_check,
     mixed_v_moment,
 )
-from liblab.ncalg import EMPTY_WORD, NCPolynomial, Vs, VsStar, Word, Xs
+from liblab.ncalg import EMPTY_WORD, NCPolynomial, Vs, VsStar, Word, Xs, format_word
+from references import TupleLetterMoment
 
 
 def closed_form_moment(n, t):
@@ -304,6 +306,72 @@ class TestMomentEngine:
                     w = Word((Xs(1, 1, s), Xs(1, 1, t)))
                     expected = 0.25 + 0.25 * math.exp(-abs(float(t - s)))
                     assert abs(complex(state.moment(w)) - expected) < 1e-12
+
+    def test_repeated_word_expands_once(self, monkeypatch):
+        calls = []
+
+        def counted(engine, letters):
+            calls.append(letters)
+            return free_letters(engine, letters)
+
+        free_letters = FreeMomentEngine._free_letters
+        monkeypatch.setattr(FreeMomentEngine, "_free_letters", counted)
+        w = Word((Xs(1, 1, F(1, 2)), Vs(2, 1), Xs(2, 1, 1), VsStar(1, F(1, 4))))
+        state = LiberationState(two_projections(), 2)
+        first = state.extended_moment(w)
+        assert state.extended_moment(w) == first
+        p = NCPolynomial.from_word(w) * 2 + NCPolynomial.from_word(w * w)
+        assert state.extended_moment(p) == 2 * first + state.extended_moment(w * w)
+        assert len(calls) == 2  # w and w * w
+        assert LiberationState(two_projections(), 2).extended_moment(w) == first
+        assert len(calls) == 3
+        # a word over the cap is refused every time, before any expansion
+        long_word = Word(tuple(Xs(1 + q % 2, 1, 1) for q in range(14)))
+        for _ in range(2):
+            with pytest.raises(DegreeOverflow):
+                state.moment(long_word)
+        assert len(calls) == 3
+
+    def test_matches_tuple_letter_recursion(self):
+        # letter codes and the explicit promotion give the bytes of the
+        # recursion over (color id, elem) tuples with Python's own operators
+        rng = random.Random(5)
+        times = [F(0), F(1, 4), F(1, 2), F(1)]
+        alphabet = [Xs(i, 1, t) for i in (1, 2) for t in times]
+        alphabet += [f(i, t) for f in (Vs, VsStar) for i in (1, 2, 3) for t in times[1:]]
+        corpus = [Word(tuple(rng.choice(alphabet) for _ in range(k))) for k in range(1, 5) for _ in range(40)]
+        float_atoms = InitialLaw.free_product(
+            [
+                MarginalLaw(1, atoms=[0.3, -1.2], weights=[F(1, 3), F(2, 3)]),
+                MarginalLaw(2, atoms=[1, 0], weights=[F(1, 3), F(2, 3)]),
+            ]
+        )
+        mixed = False
+        for sigma0 in (two_projections(), two_projections(correlated=True), float_atoms):
+            for state_cls in (LiberationState, FreeProductState):
+                state = state_cls(sigma0, 2)
+                reference = TupleLetterMoment(FreeMomentEngine(sigma0))
+                for w in corpus:
+                    value, expected = state.extended_moment(w), reference(state._letters(w))
+                    assert (value, type(value)) == (expected, type(expected)), format_word(w)
+                mixed = mixed or reference.mixed
+        assert mixed
+
+    def test_time_zero_words_stay_exact(self):
+        # free projections p, q of trace 1/3: tau(pq) = ab and
+        # tau(pqpq) = a^2 b + a b^2 - a^2 b^2, exact in rationals
+        sigma0 = InitialLaw.free_product(
+            [MarginalLaw(i, atoms=[1, 0], weights=[F(1, 3), F(2, 3)]) for i in (1, 2)]
+        )
+        state = LiberationState(sigma0, 2)
+        a = F(1, 3)
+        p, q = Xs(1, 1, 0), Xs(2, 1, 0)
+        cases = [((p,), a), ((p, p, p), a), ((p, q), a * a), ((p, q, p), a * a)]
+        cases += [((p, q, p, q), 2 * a**3 - a**4), ((q, p, q, p, p), 2 * a**3 - a**4)]
+        for letters, expected in cases:
+            value = state.moment(Word(letters))
+            assert type(value) is F
+            assert value == expected
 
     @pytest.mark.parametrize("state_cls", [LiberationState, FreeProductState])
     def test_dropped_state_frees_engine(self, state_cls):

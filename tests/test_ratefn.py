@@ -322,6 +322,20 @@ class TestRateIntegrand:
         with pytest.raises(UnsupportedState):
             rate_integrand_eq9(lambda w: 0.0, NCPolynomial.scalar(1.0), [F(1)])
 
+    def test_subclass_gets_plain_reference(self):
+        # x(t) = u(ct) x u(ct)* subclasses LiberationState but is not
+        # sigma0^lib, so its reference is the plain state's moment
+        class TimeChanged(LiberationState):
+            def _x_letters(self, sym):
+                return super()._x_letters(Xs(sym.i, sym.j, sym.t * F(3, 2)))
+
+        changed = TimeChanged(two_projections(), 2)
+        w = Word((Xs(1, 1, F(1, 4)), Xs(1, 1, F(1, 2))))
+        plain = complex(self.tau.moment(w)).real
+        assert abs(complex(changed.moment(w)).real - plain) > 1e-3
+        [(_, br)] = rate_integrand_eq9(changed, w, [F(1)], s_points=2)
+        assert br["reference"] == plain
+
     def test_horizon_list_matches_single_horizons(self):
         # word times 1/4 and 1/2; horizons above, at and below the largest,
         # t = 0, and a repeat
