@@ -543,8 +543,4 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    # Run the module under its import name, so that the functions it hands
-    # to shard workers pickle by that name, not as __main__'s.
-    from liblab import cli
-
-    sys.exit(cli.main())
+    sys.exit(main())

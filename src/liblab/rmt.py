@@ -15,20 +15,23 @@ identical seeds give bit-identical runs. The initial family's fixed rotations
 draw from ``path_rng(ROTATION_SEED, c)``, one stream per component c >= 1.
 
 Shards: ``map_shards`` runs independent work items (paths, trajectories) in
-worker processes, one per allowed CPU, each with one BLAS thread, and returns
-their results in input order, so outputs do not depend on the CPU count.
+children forked from this process, one per allowed CPU, each with one BLAS
+thread, and returns their results in input order, so outputs do not depend
+on the CPU count. Only the results are pickled. Where numpy's OpenBLAS
+exposes no thread-count setter, every shard runs in this process.
 """
 
 from __future__ import annotations
 
-import contextlib
+import ctypes
 import functools
 import math
 import os
 import pickle
-import subprocess
+import signal
 import sys
 import traceback
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -166,13 +169,6 @@ ROTATION_SEED = 2**64
 def path_rng(seed, path):
     """The random stream of path ``path`` under base seed ``seed``."""
     return np.random.default_rng([seed, path])
-
-
-def gaussian_generator(N, rng):
-    """Self-adjoint Gaussian H with E tr_N H^2 = 1 (GUE normalization)."""
-    A = rng.standard_normal((N, N))
-    B = rng.standard_normal((N, N))
-    return _kernels.assemble_gue(A, B)
 
 
 def sample_haar(N, rng):
@@ -418,10 +414,11 @@ def _power_traces(N, h, base_seed, T, sample_times, n_max, paths):
     found = []
 
     def grab(t, U):
-        M = np.eye(N, dtype=np.complex128)[None].repeat(len(paths), axis=0)
+        M = U[1]
         traces = np.empty((n_max, len(paths)))
         for n in range(n_max):
-            M = M @ U[1]
+            if n:
+                M = M @ U[1]
             traces[n] = np.trace(M, axis1=-2, axis2=-1).real / N
         found.append((t, traces))
 
@@ -440,34 +437,51 @@ def _allowed_cpus():
         return 1
 
 
-# A worker drops its script directory ('' under -c) from sys.path, so that
-# the liblab it imports is the one first on the PYTHONPATH it is given.
-_WORKER = "import sys; del sys.path[0]; from liblab.rmt import _serve_shard; _serve_shard()"
+@functools.cache
+def _blas_threads():
+    """(set, get) of the thread count of the OpenBLAS that numpy links, or
+    None when numpy's extension exports neither the plain nor the
+    ``scipy_``-prefixed, ``64_``-suffixed OpenBLAS entry points."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    for prefix in ("scipy_", ""):
+        for suffix in ("64_", ""):
+            setter = getattr(lib, prefix + "openblas_set_num_threads" + suffix, None)
+            getter = getattr(lib, prefix + "openblas_get_num_threads" + suffix, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
 
 
 def map_shards(fn, items):
     """``[fn(item) for item in items]``, split over the CPUs this process may
     run on.
 
-    With W = min(allowed CPUs, len(items)) > 1, worker w is a fresh Python
-    process that gets ``items[w::W]`` and runs them in order with one BLAS
-    thread (``OPENBLAS_NUM_THREADS=1``, ``OMP_NUM_THREADS=1``): the thread
-    count changes the last bits of large products, and one thread per worker
-    makes the results the same for every W. With W = 1 the one shard runs in
-    this process, through the same ``_run_shard``. Results come back in
-    input order.
+    With W = min(allowed CPUs, len(items)) > 1, worker w is a child forked
+    from this process that runs ``items[w::W]`` in order with one BLAS
+    thread: the thread count changes the last bits of large products, and
+    one thread per worker makes the results the same for every W. A child
+    inherits the imported modules, ``fn`` and its items, so only the results
+    cross back, pickled, and only they must pickle. The child sets its
+    thread count through numpy's OpenBLAS (``_blas_threads``). With W = 1,
+    or where no such setter is found, all items run in this process through
+    the same ``_run_shard``, with this process's thread count. Results come
+    back in input order.
 
-    ``fn`` must pickle by reference (a module-level function, or a
-    ``functools.partial`` of one over plain data), and the items and results
-    must pickle too. If any call raises, ShardError names the first such item in
-    input order; the workers are killed and reaped in every case.
+    If any call raises, ShardError names the first such item in input order;
+    every child has exited and been reaped when this returns or raises.
     """
     items = list(items)
-    W = max(1, min(_allowed_cpus(), len(items)))
+    threads = _blas_threads()
+    W = max(1, min(_allowed_cpus(), len(items))) if threads else 1
     if W == 1:
         outcomes = [_run_shard(fn, items)]
     else:
-        outcomes = _run_workers(fn, [items[w::W] for w in range(W)])
+        outcomes = _run_workers(fn, [items[w::W] for w in range(W)], threads[0])
     failed = [
         (w + W * len(results), failure)
         for w, (results, failure) in enumerate(outcomes)
@@ -494,53 +508,68 @@ def _run_shard(fn, items):
     return results, None
 
 
-def _serve_shard():
-    """A worker's main: (fn, items) pickled on stdin, the outcome of
-    ``_run_shard`` pickled on stdout."""
-    fn, items = pickle.load(sys.stdin.buffer)
-    out = sys.stdout.buffer
-    sys.stdout = sys.stderr  # a stray print cannot corrupt the outcome
-    pickle.dump(_run_shard(fn, items), out)
-    out.flush()
+def _run_workers(fn, shards, set_threads):
+    """The outcomes of ``_run_shard(fn, shard)``, one forked child per shard.
 
+    The fork is safe although OpenBLAS's thread pool runs in this process:
+    OpenBLAS registers a ``pthread_atfork`` handler that shuts the pool down
+    before every fork, and the child sets its one thread before any BLAS
+    work, so it never waits on a pool thread it did not inherit. Python 3.12
+    and later warn on a fork in a process with threads; that warning is
+    silenced at the fork call only.
 
-def _run_workers(fn, shards):
-    """The outcomes of ``_run_shard(fn, shard)``, one worker process per shard."""
-    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=path)
-    procs = []
+    A child writes the pickled outcome to its pipe and leaves by
+    ``os._exit``, so it runs none of this process's ``finally`` blocks,
+    ``atexit`` handlers or buffered output. The pipes are read in shard
+    order and each child is reaped after its pipe; when this leaves early,
+    the children not yet reaped are killed and reaped.
+    """
+    pids, reads, reaped = [], [], set()
     try:
-        for _shard in shards:
-            procs.append(
-                subprocess.Popen(
-                    [sys.executable, "-c", _WORKER],
-                    stdin=subprocess.PIPE,
-                    stdout=subprocess.PIPE,
-                    env=env,
-                )
-            )
-        for proc, shard in zip(procs, shards):
-            # a worker reads all of its input before it writes; one that
-            # died is reported by its exit code below
-            with contextlib.suppress(BrokenPipeError):
-                proc.stdin.write(pickle.dumps((fn, shard)))
-                proc.stdin.close()
+        for shard in shards:
+            read, write = os.pipe()
+            reads.append(read)
+            try:
+                with warnings.catch_warnings():
+                    warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:
+                    _shard_child(fn, shard, write, set_threads)
+            finally:
+                os.close(write)
+            pids.append(pid)
         outcomes = []
-        for proc, shard in zip(procs, shards):
-            data = proc.stdout.read()
-            if proc.wait() != 0 or not data:
+        for pid, read, shard in zip(pids, reads, shards):
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped.add(pid)
+            if code != 0 or not data:
                 raise ShardError(
-                    "worker for %d items from %r exited with code %d"
-                    % (len(shard), shard[0], proc.returncode)
+                    "worker for %d items from %r exited with code %d" % (len(shard), shard[0], code)
                 )
             outcomes.append(pickle.loads(data))
         return outcomes
     finally:
-        for proc in procs:
-            if proc.poll() is None:
-                proc.kill()
-            proc.wait()
-            with contextlib.suppress(BrokenPipeError):
-                proc.stdin.close()
-            proc.stdout.close()
+        for read in reads:
+            os.close(read)
+        for pid in pids:
+            if pid not in reaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _shard_child(fn, shard, write, set_threads):
+    """A forked child's main: one BLAS thread, then the outcome of
+    ``_run_shard`` pickled to the pipe end ``write``. Never returns."""
+    code = 1
+    try:
+        set_threads(1)
+        with open(write, "wb", closefd=False) as pipe:
+            pipe.write(pickle.dumps(_run_shard(fn, shard)))
+        code = 0
+    except BaseException:  # interrupts too: the parent reports the exit code
+        traceback.print_exc()
+        sys.stderr.flush()
+    finally:
+        os._exit(code)

@@ -2,7 +2,16 @@
 
 from fractions import Fraction
 
+from liblab import _kernels
 from liblab.ncpart import enumerate_nc, first_block_splits
+
+
+def gaussian_generator(N, rng):
+    """Self-adjoint Gaussian H with E tr_N H^2 = 1 (GUE normalization), the
+    generator ``BatchedUBM.step`` assembles from the same two draws."""
+    A = rng.standard_normal((N, N))
+    B = rng.standard_normal((N, N))
+    return _kernels.assemble_gue(A, B)
 
 
 def moment_from_cumulants(cf, args):

@@ -1,7 +1,10 @@
 """Symbolic word algebra, liberation derivation, cyclic derivative, Pi^s."""
 
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -141,6 +144,34 @@ class TestPickle:
         # the symbol hash hashes the kind string, which differs per process:
         # words built in a worker are found here only if rehashed on receipt
         built = rmt.map_shards(parse_word, [format_word(w) for w in words])
+        assert [table[w] for w in built] == list(range(len(words)))
+
+    def test_round_trip_across_hash_seeds(self):
+        # The symbol hash hashes the kind string, which differs with the
+        # string-hash seed: a fresh interpreter under another seed finds the
+        # received words among those it builds only if they are rehashed on
+        # receipt, and this process finds its built words likewise.
+        words = _pickle_words()
+        table = {w: k for k, w in enumerate(words)}
+        script = (
+            "import pickle, sys\n"
+            "from liblab.ncalg import X, parse_word\n"
+            "received, texts = pickle.load(sys.stdin.buffer)\n"
+            "built = dict.fromkeys(parse_word(t) for t in texts)\n"
+            "pickle.dump((hash(X), [w in built for w in received], list(built)), sys.stdout.buffer)\n"
+        )
+        src = os.path.dirname(os.path.dirname(ncalg.__file__))
+        seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        res = subprocess.run(
+            [sys.executable, "-c", script],
+            input=pickle.dumps((words, [format_word(w) for w in words])),
+            capture_output=True, env=env, check=True, timeout=60,
+        )
+        kind_hash, found, built = pickle.loads(res.stdout)
+        assert kind_hash != hash(ncalg.X)  # the seed boundary was crossed
+        assert found == [True] * len(words)
         assert [table[w] for w in built] == list(range(len(words)))
 
 

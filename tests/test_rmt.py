@@ -3,6 +3,7 @@ word traces."""
 
 import math
 import os
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -14,6 +15,7 @@ from liblab.errors import GridMiss, IncompatibleN, ShardError
 from liblab.freestate import AtomicComponent, InitialLaw, LiberationState, MarginalLaw
 from liblab.ncalg import EMPTY_WORD, Vs, VsStar, Word, Xs
 from liblab.ratefn import EmpiricalTrajectory, trajectory_metric_d
+from references import gaussian_generator
 
 
 def proj_marginals():
@@ -96,14 +98,14 @@ class TestInitialFamily:
 class TestGaussianGenerator:
     def test_selfadjoint(self):
         rng = np.random.default_rng(0)
-        H = rmt.gaussian_generator(16, rng)
+        H = gaussian_generator(16, rng)
         assert np.allclose(H, H.conj().T)
 
     def test_trace_square_normalization(self):
         rng = np.random.default_rng(1)
         vals = [
             float(np.trace(H @ H).real / 32)
-            for H in (rmt.gaussian_generator(32, rng) for _ in range(1000))
+            for H in (gaussian_generator(32, rng) for _ in range(1000))
         ]
         assert abs(np.mean(vals) - 1.0) < 0.05
 
@@ -117,7 +119,7 @@ class TestExpi:
         from scipy.linalg import expm
 
         s = math.sqrt(h)
-        H = rmt.gaussian_generator(N, rmt.path_rng(2, N))
+        H = gaussian_generator(N, rmt.path_rng(2, N))
         E = _kernels.expi(H, s)
         assert np.max(np.abs(E - expm(1j * s * H))) <= 1e-13
         assert np.linalg.norm(E.conj().T @ E - np.eye(N), ord=2) <= 1e-13
@@ -185,7 +187,7 @@ class TestStepperBuffers:
         # one workspace through every degree and the squaring branch
         work = _kernels.expi_workspace(N)
         for k, h in enumerate([F(1, 200), F(1, 20), F(1), F(16), F(1, 50)]):
-            H = rmt.gaussian_generator(N, rmt.path_rng(3, 10 * N + k))
+            H = gaussian_generator(N, rmt.path_rng(3, 10 * N + k))
             s = math.sqrt(h)
             ref = _expi_reference(H, s)
             assert np.array_equal(_kernels.expi(H, s, work), ref)
@@ -484,6 +486,11 @@ class TestLetterMemo:
             assert abs(got_a - got_b) > 1e-3
 
 
+needs_blas_setter = pytest.mark.skipif(
+    rmt._blas_threads() is None, reason="no OpenBLAS thread setter: map_shards runs in-process"
+)
+
+
 class TestShards:
     def test_results_in_input_order(self):
         items = ["%d/7" % k for k in range(11)]
@@ -499,6 +506,61 @@ class TestShards:
         assert "Traceback" in info.value.traceback
         with pytest.raises(ChildProcessError):  # every worker was reaped
             os.waitpid(-1, os.WNOHANG)
+
+    @needs_blas_setter
+    def test_workers_run_one_blas_thread(self, monkeypatch):
+        monkeypatch.setattr(rmt, "_allowed_cpus", lambda: 2)
+        set_threads, get_threads = rmt._blas_threads()
+        before = get_threads()
+        set_threads(2)  # so that one thread in a worker is its own setting
+        try:
+            # a lambda: only results cross back from a forked worker
+            got = rmt.map_shards(lambda _: (os.getpid(), get_threads()), range(2))
+            assert get_threads() == 2
+        finally:
+            set_threads(before)
+        assert [threads for _pid, threads in got] == [1, 1]
+        assert len({pid for pid, _threads in got} | {os.getpid()}) == 3
+
+    def test_no_blas_setter_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(rmt, "_allowed_cpus", lambda: 2)
+        items = ["%d/7" % k for k in range(5)]
+        forked = rmt.map_shards(F, items)
+        monkeypatch.setattr(rmt, "_blas_threads", lambda: None)
+        assert rmt.map_shards(F, items) == forked
+        assert rmt.map_shards(lambda _: os.getpid(), range(3)) == [os.getpid()] * 3
+
+    @needs_blas_setter
+    def test_no_worker_outlives_a_call(self, monkeypatch):
+        monkeypatch.setattr(rmt, "_allowed_cpus", lambda: 3)
+
+        def no_children():
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+        assert rmt.map_shards(F, ["1", "2", "3"]) == [1, 2, 3]
+        no_children()
+        with pytest.raises(ShardError, match="'1/0' failed"):
+            rmt.map_shards(F, ["1", "1/0", "3"])
+        no_children()
+        with pytest.raises(ShardError, match="exited with code 3"):
+            rmt.map_shards(os._exit, [3, 3, 3])  # a worker that dies
+        no_children()
+
+        fork, forked = os.fork, []
+
+        def fork_once():
+            if forked:
+                raise OSError("no second fork")
+            forked.append(fork())
+            return forked[-1]
+
+        monkeypatch.setattr(os, "fork", fork_once)
+        start = time.monotonic()
+        with pytest.raises(OSError, match="no second fork"):
+            rmt.map_shards(time.sleep, [60, 0, 0])
+        assert time.monotonic() - start < 30  # the first worker was killed
+        no_children()
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_path_ranges_join_in_path_order(self, cpus, monkeypatch):
