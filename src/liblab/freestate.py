@@ -28,7 +28,7 @@ import numpy as np
 
 from . import ncalg
 from .errors import DegreeOverflow, SizeLimit, UnsupportedState, UnsupportedWord
-from .ncalg import NCPolynomial, Word, Xs
+from .ncalg import NCPolynomial, Vs, VsStar, Word, Xs
 from .ncpart import CumulantFunctional, _nc_cached, first_block_splits, kreweras
 
 WORD_LENGTH_CAP = 40
@@ -203,9 +203,10 @@ class FreeMomentEngine:
 
     ``moment`` gives each free letter ``(color id, elem)`` a small integer
     code the first time it meets it, and the recursion and its memo run over
-    tuples of codes. Each ``TraceState`` keeps the value of every ``Word`` it
-    evaluated, so a repeated word is expanded once per state. Every memo
-    goes with its state.
+    tuples of codes, reading a law's cumulant memo before they call
+    ``kappa``. Each ``TraceState`` keeps the value of every ``Word`` it
+    evaluated, so a repeated word is expanded once per state. Every memo,
+    and every table of first-block splits, goes with its state.
     """
 
     def __init__(self, sigma0: InitialLaw | None):
@@ -299,10 +300,14 @@ class FreeMomentEngine:
         elem = self._code_elem
         color0 = color[word[0]]
         positions = [p for p in range(1, len(word)) if color[word[p]] == color0]
-        kappa = self._tables[color0].kappa
+        table = self._tables[color0]
+        kappa, cumulants = table.kappa, table._cache
         total = None  # the first nonzero term, as 0 + term would give
         for block, gaps in first_block_splits(len(word), positions):
-            prod = kappa(tuple(elem[word[p]] for p in block))
+            args = tuple([elem[word[p]] for p in block])
+            prod = cumulants.get(args)
+            if prod is None:
+                prod = kappa(args)
             for a, b in gaps:
                 if prod == 0:
                     break
@@ -477,24 +482,15 @@ def conditional_expectation_prop81(word: Word, k: int, s, tau: TraceState) -> NC
     if not isinstance(tau, TraceState):
         raise UnsupportedState("tau must be an oracle TraceState")
 
-    # engine letters of each w_l
-    def v_letter(i, t, e):
-        if i > tau.n or t == 0:
-            return []
-        return [(("v", i), (t, e))]
-
+    # each w_l as a word, so that its moments go through tau's word memo
     shifted = [max(sym.t - s, Fraction(0)) for sym in letters]
-    w_letters = []
-    for ell in range(n):
-        prev = (ell - 1) % n
-        w = v_letter(letters[prev].i, shifted[prev], -1) + v_letter(
-            letters[ell].i, shifted[ell], 1
-        )
-        w_letters.append(tuple(w))
+    w_letters = [
+        (VsStar(letters[ell - 1].i, shifted[ell - 1]), Vs(letters[ell].i, shifted[ell]))
+        for ell in range(n)
+    ]
 
     def w_moment(args):
-        flat = tuple(letter for w in args for letter in w)
-        return tau.engine.moment(flat)
+        return tau.extended_moment(Word(tuple(sym for w in args for sym in w)))
 
     cf = CumulantFunctional(w_moment)
 

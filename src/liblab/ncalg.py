@@ -352,33 +352,6 @@ def cyclic_derivative(p: NCPolynomial, k: int, s) -> NCPolynomial:
     return NCPolynomial((Word(b + a), c) for a, b, c in _derivation_terms(p, k, s))
 
 
-def cyclic_derivative_commutator_form(word: Word, k: int, s) -> NCPolynomial:
-    """Closed form of D_s^(k) on a monomial: sum over qualifying letters l of
-
-        v_k(t_l - s)^* [R_l, x_l] v_k(t_l - s)
-
-    with R_l the cyclic rotation x_{l+1} ... x_{l-1} of the remaining letters.
-    Provided as an independent route for cross-checking `cyclic_derivative`.
-    """
-    s = _as_time(s)
-    if not word.is_x_only():
-        raise NonXPolynomial("commutator form applies to X-words")
-    letters = word.letters
-    total = NCPolynomial.zero()
-    for idx, sym in enumerate(letters):
-        if sym.i != k or not (0 <= s <= sym.t):
-            continue
-        vstar = Word((VsStar(k, sym.t - s),))
-        v = Word((Vs(k, sym.t - s),))
-        rot = Word(letters[idx + 1 :] + letters[:idx])
-        xw = Word((sym,))
-        term = NCPolynomial.from_word(vstar * rot * xw * v) - NCPolynomial.from_word(
-            vstar * xw * rot * v
-        )
-        total = total + term
-    return total
-
-
 def pi_s_substitution(p: NCPolynomial, s, n: int) -> NCPolynomial:
     """Homomorphic Pi^s with `n` motions.
 

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 from liblab import _kernels
+from liblab.errors import NonXPolynomial
+from liblab.ncalg import NCPolynomial, Vs, VsStar, Word
 from liblab.ncpart import enumerate_nc, first_block_splits
 
 
@@ -12,6 +14,33 @@ def gaussian_generator(N, rng):
     A = rng.standard_normal((N, N))
     B = rng.standard_normal((N, N))
     return _kernels.assemble_gue(A, B)
+
+
+def cyclic_derivative_commutator_form(word, k, s):
+    """Closed form of D_s^(k) on a monomial: sum over qualifying letters l of
+
+        v_k(t_l - s)^* [R_l, x_l] v_k(t_l - s)
+
+    with R_l the cyclic rotation x_{l+1} ... x_{l-1} of the remaining letters.
+    An independent route for cross-checking ``ncalg.cyclic_derivative``.
+    """
+    s = Fraction(s)
+    if not word.is_x_only():
+        raise NonXPolynomial("commutator form applies to X-words")
+    letters = word.letters
+    total = NCPolynomial.zero()
+    for idx, sym in enumerate(letters):
+        if sym.i != k or not (0 <= s <= sym.t):
+            continue
+        vstar = Word((VsStar(k, sym.t - s),))
+        v = Word((Vs(k, sym.t - s),))
+        rot = Word(letters[idx + 1 :] + letters[:idx])
+        xw = Word((sym,))
+        term = NCPolynomial.from_word(vstar * rot * xw * v) - NCPolynomial.from_word(
+            vstar * xw * rot * v
+        )
+        total = total + term
+    return total
 
 
 def moment_from_cumulants(cf, args):

@@ -414,6 +414,27 @@ class TestProp81:
         with pytest.raises(SizeLimit):
             conditional_expectation_prop81(w, 1, F(1, 2), tau)
 
+    def test_repeated_call_expands_nothing(self, monkeypatch):
+        # the unitary words w_l go through the state's word memo, so a second
+        # expansion of the same word finds every moment there
+        calls = []
+
+        def counted(engine, letters):
+            calls.append(letters)
+            return free_letters(engine, letters)
+
+        free_letters = FreeMomentEngine._free_letters
+        monkeypatch.setattr(FreeMomentEngine, "_free_letters", counted)
+        state = LiberationState(two_projections(), 3)
+        w = Word((Xs(1, 1, 1), Xs(2, 1, F(1, 2)), Xs(1, 1, 2), Xs(2, 1, F(3, 4))))
+        first = conditional_expectation_prop81(w, 1, F(1, 4), state)
+        assert not first.is_zero()
+        expanded = len(calls)
+        assert expanded == len(set(calls))
+        for _ in range(3):
+            assert conditional_expectation_prop81(w, 1, F(1, 4), state) == first
+        assert len(calls) == expanded
+
     def test_pairing_identity(self, tau):
         # the defining property of the conditional expectation, paired against
         # X-words from the trajectory algebra

@@ -20,7 +20,6 @@ from liblab.ncalg import (
     Word,
     Xs,
     cyclic_derivative,
-    cyclic_derivative_commutator_form,
     format_polynomial,
     format_word,
     liberation_derivation,
@@ -28,6 +27,7 @@ from liblab.ncalg import (
     parse_word,
     pi_s_substitution,
 )
+from references import cyclic_derivative_commutator_form
 
 
 def rand_x_word(rng, max_len=5, rows=3):
@@ -141,8 +141,9 @@ class TestPickle:
         assert [table[w] for got in returned for w in got] == list(range(len(words)))
         for got, shard in zip(returned, shards):
             assert all(w in got for w in shard)
-        # the symbol hash hashes the kind string, which differs per process:
-        # words built in a worker are found here only if rehashed on receipt
+        # words built in a worker are found here too; forked workers share
+        # this process's string-hash seed, so rehashing on receipt is checked
+        # by test_round_trip_across_hash_seeds
         built = rmt.map_shards(parse_word, [format_word(w) for w in words])
         assert [table[w] for w in built] == list(range(len(words)))
 
