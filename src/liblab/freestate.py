@@ -6,12 +6,14 @@ u(t_q) becomes the motion's left increments g_q ... g_1 over the word's own
 times for that motion, which are free from each other and from everything
 else (Biane 1997). The word is then evaluated by the non-crossing cumulant
 sum restricted to color-homogeneous partitions (mixed free cumulants vanish),
-run as the first-block recursion of ``ncpart.first_block_splits``. Joint
+run as the first-block recursion in the split order of
+``ncpart.first_block_splits``, over the intervals of each word. Joint
 cumulants come from the same recursion, inverted, with one table per law:
 
 - a component of the initial law gives exact rational joint moments;
 - an increment over an interval of length dt collapses words in g, g* to a
-  power g^k by unitarity, whose moment is Biane's closed form at dt.
+  power g^k by unitarity, whose moment is Biane's closed form at dt,
+  computed once per order for each law.
 
 On top of the engine sit the oracle states sigma0^fr (free product, constant
 in time) and sigma0^lib (liberation process), their free-BM extensions
@@ -23,13 +25,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
 from . import ncalg
 from .errors import DegreeOverflow, SizeLimit, UnsupportedState, UnsupportedWord
 from .ncalg import NCPolynomial, Vs, VsStar, Word, Xs
-from .ncpart import CumulantFunctional, _nc_cached, first_block_splits, kreweras
+from .ncpart import CumulantFunctional, _nc_cached, kreweras
 
 WORD_LENGTH_CAP = 40
 
@@ -198,12 +201,16 @@ class FreeMomentEngine:
     the initial law under ``'xr'`` is a color of its own.
 
     Cumulant tables are kept per law: one per component of the initial law,
-    and one per increment length, shared by every motion. No table refers
-    back to the engine, so a dropped state frees its memos at once.
+    and one per increment length, shared by every motion. An increment's
+    law computes Biane's moment once per order. No table refers back to the
+    engine, so a dropped state frees its memos at once.
 
     ``moment`` gives each free letter ``(color id, elem)`` a small integer
-    code the first time it meets it, and the recursion and its memo run over
-    tuples of codes, reading a law's cumulant memo before they call
+    code the first time it meets it, and the memo runs over tuples of codes.
+    Every gap of a first-block split is a contiguous interval of the word,
+    so the recursion runs over the intervals of each word it is given: it
+    reads their moments from a flat table by position, checks the state
+    memo once per interval, and reads a law's cumulant memo before it calls
     ``kappa``. Each ``TraceState`` keeps the value of every ``Word`` it
     evaluated, so a repeated word is expanded once per state. Every memo,
     and every table of first-block splits, goes with its state.
@@ -212,7 +219,6 @@ class FreeMomentEngine:
     def __init__(self, sigma0: InitialLaw | None):
         self.sigma0 = sigma0
         self._moment_memo = {}  # word of letter codes -> moment
-        self._float_memo = {}  # word of letter codes -> float of a Fraction moment
         self._color_ids = {}  # free variable -> color id
         self._tables = []  # color id -> CumulantFunctional of its law
         self._laws = {}  # law -> CumulantFunctional
@@ -274,7 +280,16 @@ class FreeMomentEngine:
 
     def _increment(self, motion, a, b):
         dt = float(b - a)
-        return self._color((motion, a, b), ("g", dt), lambda exps: free_ubm_moment(abs(sum(exps)), dt))
+        biane = {}  # order n -> Biane's n-th moment at dt, for this law only
+
+        def moment(exps):
+            n = abs(sum(exps))
+            m = biane.get(n)
+            if m is None:
+                m = biane[n] = free_ubm_moment(n, dt)
+            return m
+
+        return self._color((motion, a, b), ("g", dt), moment)
 
     def _color(self, key, law, moment):
         """Id of the free variable ``key``; ``moment`` gives its law's joint
@@ -291,49 +306,72 @@ class FreeMomentEngine:
     def _moment(self, word):
         """Moment of a nonempty word of letter codes.
 
+        Every gap of a split of an interval ``word[a:b]`` is again an
+        interval ``word[lo:hi]``, so the recursion runs over the intervals of
+        this one word: their colors and elems are read once, and each
+        interval's moment is kept in the flat ``local`` table at
+        ``lo * width + hi``, the float of a Fraction moment at
+        ``hi * width + lo``."""
+        color, elem = self._code_color, self._code_elem
+        width = len(word) + 1
+        cols = [color[c] for c in word]
+        els = [elem[c] for c in word]
+        return self._interval(word, cols, els, [None] * (width * width), width, 0, len(word))
+
+    def _interval(self, word, cols, els, local, width, a, b):
+        """Moment of ``word[a:b]``, from the state memo or by its first-block
+        splits in the order of ``first_block_splits``: subsets of the
+        positions of the first letter's color by size, each size in
+        ``combinations`` order.
+
         Exact laws stay exact. A Fraction that meets a float is turned into a
         float first, which gives the bytes of Fraction's own operator
-        fallback, ``float(a) op float(b)``, without its dispatch; the float
-        of a memoised Fraction moment is kept."""
+        fallback, ``float(a) op float(b)``, without its dispatch."""
         memo = self._moment_memo
-        color = self._code_color
-        elem = self._code_elem
-        color0 = color[word[0]]
-        positions = [p for p in range(1, len(word)) if color[word[p]] == color0]
+        sub = word[a:b]
+        total = memo.get(sub)
+        if total is not None:
+            return total
+        color0 = cols[a]
+        positions = [p for p in range(a + 1, b) if cols[p] == color0]
         table = self._tables[color0]
         kappa, cumulants = table.kappa, table._cache
-        total = None  # the first nonzero term, as 0 + term would give
-        for block, gaps in first_block_splits(len(word), positions):
-            args = tuple([elem[word[p]] for p in block])
-            prod = cumulants.get(args)
-            if prod is None:
-                prod = kappa(args)
-            for a, b in gaps:
-                if prod == 0:
-                    break
-                sub = word[a:b]
-                m = memo.get(sub)
-                if m is None:
-                    m = self._moment(sub)
-                if type(prod) is float and type(m) is Fraction:
-                    m = self._float_memo.get(sub)
-                    if m is None:
-                        m = self._float_memo[sub] = float(memo[sub])
-                elif type(prod) is Fraction and type(m) is float:
-                    prod = float(prod)
-                prod = prod * m
-            if prod != 0:
-                if total is None:
-                    total = prod
-                elif type(total) is float and type(prod) is Fraction:
-                    total = total + float(prod)
-                elif type(total) is Fraction and type(prod) is float:
-                    total = float(total) + prod
-                else:
-                    total = total + prod
+        first = els[a]
+        for r in range(len(positions) + 1):
+            for chosen in combinations(positions, r):
+                args = (first, *[els[p] for p in chosen])
+                prod = cumulants.get(args)
+                if prod is None:
+                    prod = kappa(args)
+                lo = a + 1
+                for hi in chosen + (b,):
+                    if hi > lo:
+                        if not prod:
+                            break
+                        at = lo * width + hi
+                        m = local[at]
+                        if m is None:
+                            m = local[at] = self._interval(word, cols, els, local, width, lo, hi)
+                        if type(prod) is float and type(m) is Fraction:
+                            m = local[hi * width + lo]
+                            if m is None:
+                                m = local[hi * width + lo] = float(local[at])
+                        elif type(prod) is Fraction and type(m) is float:
+                            prod = float(prod)
+                        prod = prod * m
+                    lo = hi + 1
+                if prod:
+                    if total is None:  # the first nonzero term, as 0 + term would give
+                        total = prod
+                    elif type(total) is float and type(prod) is Fraction:
+                        total = total + float(prod)
+                    elif type(total) is Fraction and type(prod) is float:
+                        total = float(total) + prod
+                    else:
+                        total = total + prod
         if total is None:
             total = 0
-        memo[word] = total
+        memo[sub] = total
         return total
 
 
@@ -426,13 +464,6 @@ class LiberationState(TraceState):
             return [xcol]
         ucol = ("u", sym.i)
         return [(ucol, (sym.t, 1)), xcol, (ucol, (sym.t, -1))]
-
-
-def free_product_moment(marginals, word: Word) -> complex:
-    """Moment of an X-word under the free product of the marginals."""
-    sigma0 = InitialLaw.free_product(marginals)
-    state = FreeProductState(sigma0, n_motions=0)
-    return state.moment(word)
 
 
 def free_product_limit_state(sigma0: InitialLaw, n_motions: int) -> FreeProductState:

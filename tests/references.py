@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from liblab import _kernels
 from liblab.errors import NonXPolynomial
+from liblab.freestate import FreeProductState, InitialLaw
 from liblab.ncalg import NCPolynomial, Vs, VsStar, Word
 from liblab.ncpart import enumerate_nc, first_block_splits
 
@@ -41,6 +42,13 @@ def cyclic_derivative_commutator_form(word, k, s):
         )
         total = total + term
     return total
+
+
+def free_product_moment(marginals, word):
+    """Moment of an X-word under the free product of the marginals."""
+    sigma0 = InitialLaw.free_product(marginals)
+    state = FreeProductState(sigma0, n_motions=0)
+    return state.moment(word)
 
 
 def moment_from_cumulants(cf, args):

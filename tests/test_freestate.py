@@ -20,13 +20,12 @@ from liblab.freestate import (
     MarginalLaw,
     conditional_expectation_prop81,
     free_product_limit_state,
-    free_product_moment,
     free_ubm_moment,
     lemma51_bound_check,
     mixed_v_moment,
 )
 from liblab.ncalg import EMPTY_WORD, NCPolynomial, Vs, VsStar, Word, Xs, format_word
-from references import TupleLetterMoment
+from references import TupleLetterMoment, free_product_moment
 
 
 def closed_form_moment(n, t):
@@ -356,6 +355,53 @@ class TestMomentEngine:
                     assert (value, type(value)) == (expected, type(expected)), format_word(w)
                 mixed = mixed or reference.mixed
         assert mixed
+
+    def test_matches_tuple_letter_recursion_on_long_words(self):
+        # gaps nested many levels deep: alternating words of length 6 to 10
+        # at mixed times, and mixed X/V words of 20 or more free letters
+        rng = random.Random(11)
+        times = [F(0), F(1, 4), F(1, 2), F(1)]
+        alternating = [
+            Word(tuple(Xs(1 + (q + start) % 2, 1, rng.choice(times)) for q in range(length)))
+            for length in range(6, 11)
+            for start in (0, 1)
+            for _ in range(2)
+        ]
+        alphabet = [Xs(i, 1, t) for i in (1, 2) for t in times]
+        alphabet += [f(i, t) for f in (Vs, VsStar) for i in (1, 2) for t in times[1:]]
+        counter = LiberationState(two_projections(), 2)
+        mixed_words = []
+        while len(mixed_words) < 8:
+            w = Word(tuple(rng.choice(alphabet) for _ in range(rng.randint(7, 9))))
+            if len(counter.engine._free_letters(counter._letters(w))) >= 20:
+                mixed_words.append(w)
+        third = InitialLaw.free_product(
+            [MarginalLaw(i, atoms=[1, 0], weights=[F(1, 3), F(2, 3)]) for i in (1, 2)]
+        )
+        mixed = False
+        for sigma0 in (two_projections(), two_projections(correlated=True), third):
+            state = LiberationState(sigma0, 2)
+            reference = TupleLetterMoment(FreeMomentEngine(sigma0))
+            for w in alternating + mixed_words:
+                value, expected = state.extended_moment(w), reference(state._letters(w))
+                assert (value, type(value)) == (expected, type(expected)), format_word(w)
+            mixed = mixed or reference.mixed
+        assert mixed
+
+    def test_evaluation_leaves_no_garbage(self):
+        # the recursion builds no reference cycle, so words evaluated with the
+        # cyclic collector off leave nothing for it to find
+        words = [Word(tuple(Xs(1 + q % 2, 1, F(q % 3, 2)) for q in range(length))) for length in range(2, 9)]
+        words.append(Word((Xs(1, 1, 1), Vs(2, F(1, 2)), Xs(2, 1, 0), VsStar(1, F(1, 4)))))
+        gc.collect()
+        gc.disable()
+        try:
+            state = LiberationState(two_projections(), 2)
+            for w in words:
+                state.extended_moment(w)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_time_zero_words_stay_exact(self):
         # free projections p, q of trace 1/3: tau(pq) = ab and
