@@ -6,12 +6,13 @@ Subpackages/modules:
   liberation derivation, its cyclic version, and the ``Pi^s`` substitution
 - ``ncpart``    the first-block moment/cumulant recursion, non-crossing
   partitions and the Kreweras complement
-- ``freestate`` exact large-N trace oracles (free products, free unitary
-  Brownian motion, liberation states, conditional-expectation expansion)
-- ``rmt``       finite-N Monte Carlo (unitary Brownian motion, Haar sampling,
-  word traces)
-- ``heatkern``  complete elliptic integrals and the U(N) heat-kernel free
-  energy on the supercritical branch
+- ``freestate`` finitely atomic initial laws and the exact large-N trace
+  oracles (free products, free unitary Brownian motion, liberation states,
+  conditional-expectation expansion)
+- ``rmt``       finite-N Monte Carlo (atom-diagonal initial families, unitary
+  Brownian motion, Haar sampling, word traces)
+- ``heatkern``  AGM elliptic integrals in m1 = 1 - k^2, the U(N) heat-kernel
+  free energy on the supercritical branch and its sandwich bounds
 - ``ratefn``    trajectory metric, moment neighborhoods, orbital-entropy
   Monte Carlo and the rate-function integrand
 - ``cli``       experiment runner

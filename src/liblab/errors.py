@@ -18,7 +18,8 @@ class DegreeOverflow(LiblabError):
 
 
 class UnsupportedWord(LiblabError):
-    """Raised when a V-word cannot be reduced to free increments."""
+    """Raised when a word cannot be evaluated: a V-word that does not reduce
+    to free increments, or a generator outside the initial law."""
 
 
 class UnsupportedState(LiblabError):

@@ -100,59 +100,20 @@ class AtomicComponent:
         return max(abs(a[self._pos[gid]] - mu) for a in self.atoms)
 
 
-class MomentComponent:
-    """Single-generator component given only by its moment sequence."""
-
-    def __init__(self, gid, moments, norm_bound):
-        self.ids = (tuple(gid),)
-        self._moments = list(moments)  # m_1, m_2, ...
-        self.norm_bound = norm_bound
-
-    def joint_moment(self, id_seq):
-        k = len(id_seq)
-        if k == 0:
-            return 1
-        if k > len(self._moments):
-            raise DegreeOverflow("moment sequence supplied up to degree %d" % len(self._moments))
-        return self._moments[k - 1]
-
-    def mean(self, gid):
-        return self.joint_moment((gid,))
-
-
 class MarginalLaw:
-    """Law of the generators attached to one algebra index i.
+    """Law of the generators attached to one algebra index i: finitely many
+    atoms (a value, or a value tuple over the generators (i, 1), (i, 2), ...)
+    with their weights."""
 
-    Either atomic (atoms + weights per generator tuple) or a plain moment
-    sequence with a declared norm bound.
-    """
-
-    def __init__(self, label, atoms=None, weights=None, moments=None, norm_bound=None):
+    def __init__(self, label, atoms, weights):
         self.label = label
-        self.norm_bound = norm_bound
-        if atoms is not None:
-            vec_atoms = [a if isinstance(a, (tuple, list)) else (a,) for a in atoms]
-            ids = [(label, j + 1) for j in range(len(vec_atoms[0]))]
-            self.component = AtomicComponent(ids, vec_atoms, weights)
-            if norm_bound is None:
-                self.norm_bound = max(max(abs(v) for v in a) for a in vec_atoms)
-        elif moments is not None:
-            if norm_bound is None:
-                raise ValueError("moment-sequence marginals need a norm bound")
-            self.component = MomentComponent((label, 1), moments, norm_bound)
-        else:
-            raise ValueError("provide atoms+weights or moments")
+        vec_atoms = [a if isinstance(a, (tuple, list)) else (a,) for a in atoms]
+        ids = [(label, j + 1) for j in range(len(vec_atoms[0]))]
+        self.component = AtomicComponent(ids, vec_atoms, weights)
 
     def moment(self, k: int):
         gid = self.component.ids[0]
         return self.component.joint_moment((gid,) * k)
-
-    def hankel_psd(self, max_deg: int, tol=1e-10) -> bool:
-        """Positive-semidefiniteness of the Hankel matrix of moments."""
-        size = max_deg // 2 + 1
-        m = [[float(self.moment(a + b)) if a + b > 0 else 1.0 for b in range(size)] for a in range(size)]
-        eig = np.linalg.eigvalsh(np.array(m))
-        return bool(eig.min() >= -tol)
 
 
 class InitialLaw:
@@ -174,7 +135,12 @@ class InitialLaw:
         return cls([m.component for m in marginals])
 
     def component_index(self, gid):
-        return self._comp_of[tuple(gid)]
+        try:
+            return self._comp_of[tuple(gid)]
+        except KeyError:
+            raise UnsupportedWord(
+                "generator x_{%s} is not in the initial law" % ",".join(map(str, gid))
+            ) from None
 
     def component(self, gid):
         return self.components[self.component_index(gid)]
@@ -474,15 +440,6 @@ def free_product_limit_state(sigma0: InitialLaw, n_motions: int) -> FreeProductS
     correlates them; the returned state therefore frees the rows.
     """
     return FreeProductState(sigma0, n_motions)
-
-
-def mixed_v_moment(word: Word, n_free: int) -> complex:
-    """Moment of a word of V/V* letters under the free unitary BM family
-    (v_i for i <= n_free, v_{n+1} = 1)."""
-    for sym in word.letters:
-        if sym.kind == ncalg.X:
-            raise UnsupportedWord("mixed_v_moment takes V/V* words only")
-    return LiberationState(InitialLaw([]), n_free).extended_moment(word)
 
 
 # ---------------------------------------------------------------------------

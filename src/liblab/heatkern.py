@@ -1,12 +1,12 @@
 """U(N) heat-kernel asymptotics on the supercritical branch T > pi^2.
 
-Complete elliptic integrals K(k), E(k) are computed by the arithmetic-
-geometric mean iteration, parametrized internally by the complementary
-parameter m1 = 1 - k^2: near k -> 1 the modulus rounds to 1.0 in double
-precision long before K diverges, while m1 stays resolvable down to ~1e-300.
-The time parametrization is T = 4K(2E - (1-k^2)K); its inversion and the
-free energy F(T) follow the same m1-based stable forms (log m1 is carried
-directly, never via log(1 - k^2)). For small m1 the closed form of F cancels
+The complete elliptic integrals K, E are computed by the arithmetic-geometric
+mean iteration from the complementary parameter m1 = 1 - k^2 only: near
+k -> 1 the modulus rounds to 1.0 in double precision long before K diverges,
+while m1 stays resolvable down to ~1e-300. The time parametrization is
+T = 4K(2E - m1 K); its inversion (bisection in log m1, carried directly,
+never via log(1 - k^2)), the free energy F(T) and the Li-Yau sandwich follow
+the same m1-based stable forms. For small m1 the closed form of F cancels
 terms of size T/8 down to F ~ m1^2/128, so that regime is evaluated from its
 series in m1 instead.
 """
@@ -24,8 +24,9 @@ PI_SQ = math.pi * math.pi
 # Elliptic integrals (AGM)
 
 
-def _agm_ke_m1(m1: float):
-    """(K, E) from the complementary parameter m1 = 1 - k^2, 0 < m1 <= 1."""
+def elliptic_ke_m1(m1: float):
+    """(K, E) from the complementary parameter m1 = 1 - k^2, 0 < m1 <= 1
+    (stable deep into the k -> 1 corner)."""
     if not 0.0 < m1 <= 1.0:
         raise DomainError("complementary parameter must be in (0, 1], got %r" % m1)
     a, b = 1.0, math.sqrt(m1)
@@ -43,66 +44,14 @@ def _agm_ke_m1(m1: float):
     return K, E
 
 
-class EllipticValues:
-    __slots__ = ("k", "K", "E")
-
-    def __init__(self, k, K, E):
-        self.k = k
-        self.K = K
-        self.E = E
-
-    def __repr__(self):
-        return "EllipticValues(k=%r, K=%r, E=%r)" % (self.k, self.K, self.E)
-
-
-def elliptic_ke(k: float) -> EllipticValues:
-    """Complete elliptic integrals of the first and second kind."""
-    if not 0.0 <= k < 1.0:
-        raise DomainError("modulus must satisfy 0 <= k < 1, got %r" % k)
-    # m1 via (1-k)(1+k) keeps full precision for k near 1
-    m1 = (1.0 - k) * (1.0 + k)
-    K, E = _agm_ke_m1(m1)
-    return EllipticValues(k, K, E)
-
-
-def elliptic_ke_m1(m1: float):
-    """(K, E) directly from m1 = 1 - k^2 (stable deep into the k -> 1 corner)."""
-    K, E = _agm_ke_m1(m1)
-    return K, E
-
-
-def dK_dk(k: float) -> float:
-    v = elliptic_ke(k)
-    return (v.E - (1.0 - k * k) * v.K) / (k * (1.0 - k * k))
-
-def dE_dk(k: float) -> float:
-    v = elliptic_ke(k)
-    return (v.E - v.K) / k
-
-
 # ---------------------------------------------------------------------------
-# The supercritical parametrization T(k) and its inversion
+# The supercritical parametrization T(m1) and its inversion
 
 
 def _T_of_m1(m1: float) -> float:
-    K, E = _agm_ke_m1(m1)
+    """T = 4K(2E - m1 K); T(m1 = 1) = pi^2, decreasing in m1."""
+    K, E = elliptic_ke_m1(m1)
     return 4.0 * K * (2.0 * E - m1 * K)
-
-
-def T_of_k(k: float) -> float:
-    """T = 4K(2E - (1-k^2)K); T(0) = pi^2, increasing in k."""
-    v = elliptic_ke(k)
-    return 4.0 * v.K * (2.0 * v.E - (1.0 - k * k) * v.K)
-
-
-def invert_T(T: float) -> float:
-    """The unique modulus k with T(k) = T, for T on the supercritical branch.
-
-    For very large T the exact modulus is closer to 1 than the nearest double;
-    the returned value then rounds to 1.0 (use the internal log-m1 inversion
-    where more resolution matters).
-    """
-    return math.sqrt(max(0.0, -math.expm1(_invert_T_log_m1(T))))
 
 
 # For T beyond this, m1 = 1 - k^2 underflows double precision; the AGM branch
@@ -157,7 +106,7 @@ def _free_energy_from_m1(m1: float) -> float:
         for row in reversed(_SMALL_M1_SERIES):
             total = total * m1 + sum(c * L**j for j, c in enumerate(row))
         return total * m1 * m1
-    K, E = _agm_ke_m1(m1)
+    K, E = elliptic_ke_m1(m1)
     G = 2.0 * E - m1 * K  # T = 4 K G
     log_term = 0.5 * (math.log(m1) - math.log(4.0) - 2.0 * math.log(G))
     return (
@@ -202,17 +151,3 @@ def liyau_sandwich(T: float, eps: float):
     high = free_energy_F(T)
     return low, high
 
-
-# ---------------------------------------------------------------------------
-# N = 1 sanity case: heat kernel on the circle
-
-
-def circle_heat_kernel(theta: float, t: float, terms: int = 64) -> float:
-    """Heat-kernel density on U(1) = the circle (normalized Haar measure),
-    truncated theta series: p_t(theta) = sum_m e^{-m^2 t / 2} e^{i m theta}."""
-    if t <= 0:
-        raise DomainError("time must be positive")
-    total = 1.0
-    for m in range(1, terms + 1):
-        total += 2.0 * math.exp(-0.5 * m * m * t) * math.cos(m * theta)
-    return total

@@ -38,48 +38,20 @@ import numpy as np
 
 from . import _kernels, ncalg
 from .errors import GridMiss, IncompatibleN, ShardError
-from .freestate import InitialLaw, MarginalLaw, free_ubm_moment
+from .freestate import InitialLaw, free_ubm_moment
 from .ncalg import Word
-from .ncpart import catalan
 
 
 # ---------------------------------------------------------------------------
 # Initial families
 
 
-class SemicircleLaw(MarginalLaw):
-    """Standard semicircle (mean 0, variance 1, support [-2, 2])."""
-
-    def __init__(self, label, max_degree=16):
-        moments = [0 if k % 2 else catalan(k // 2) for k in range(1, max_degree + 1)]
-        super().__init__(label, moments=moments, norm_bound=2.0)
-
-    @staticmethod
-    def cdf(x: float) -> float:
-        if x <= -2.0:
-            return 0.0
-        if x >= 2.0:
-            return 1.0
-        return 0.5 + (x * math.sqrt(4.0 - x * x) + 4.0 * math.asin(x / 2.0)) / (4.0 * math.pi)
-
-    def quantile(self, q: float) -> float:
-        lo, hi = -2.0, 2.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) < q:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-
 class InitialFamily:
     """Deterministic self-adjoint matrices xi_{ij}(N), one per generator id."""
 
-    def __init__(self, N, entries, norm_bound):
+    def __init__(self, N, entries):
         self.N = N
         self.entries = dict(entries)
-        self.norm_bound = norm_bound
 
     def matrix(self, gid):
         return self.entries[tuple(gid)]
@@ -110,12 +82,13 @@ def _turned_diagonal(vals, V):
 
 
 def build_initial_family(marginals, N, strict=True) -> InitialFamily:
-    """Quantile-diagonal realization of the initial law at dimension N.
+    """Atom-diagonal realization of the initial law at dimension N.
 
     ``marginals`` is a list of MarginalLaw (free-product components) or an
-    InitialLaw (which may correlate generators inside one component). Atomic
-    components are realized exactly when N times every weight is an integer;
-    otherwise IncompatibleN in strict mode, largest-remainder rounding if not.
+    InitialLaw (which may correlate generators inside one component). Each
+    atom of a component fills N times its weight diagonal entries, exactly
+    when every such count is an integer; otherwise IncompatibleN in strict
+    mode, largest-remainder rounding if not.
 
     Each component's generators are diagonal in one basis. Component c >= 1
     (in order) is turned by the fixed Haar unitary
@@ -124,37 +97,20 @@ def build_initial_family(marginals, N, strict=True) -> InitialFamily:
     """
     if isinstance(marginals, InitialLaw):
         components = marginals.components
-        quantile_laws = {}
     else:
         components = [m.component for m in marginals]
-        quantile_laws = {
-            m.component.ids[0]: m for m in marginals if hasattr(m, "quantile")
-        }
 
     entries = {}
-    norm = 0.0
     for c, comp in enumerate(components):
         V = sample_haar(N, path_rng(ROTATION_SEED, c)) if c else None
-        if hasattr(comp, "atoms"):
-            counts = _atom_counts(comp.weights, N, strict)
-            for pos, gid in enumerate(comp.ids):
-                vals = []
-                for atom, k in zip(comp.atoms, counts):
-                    vals.extend([float(atom[pos])] * k)
-                vals.sort()
-                entries[gid] = _turned_diagonal(vals, V)
-                norm = max(norm, max(abs(v) for v in vals) if vals else 0.0)
-        else:
-            gid = comp.ids[0]
-            law = quantile_laws.get(gid)
-            if law is None:
-                raise IncompatibleN(
-                    "component %r has neither atoms nor a quantile function" % (gid,)
-                )
-            vals = [law.quantile((k + 0.5) / N) for k in range(N)]
+        counts = _atom_counts(comp.weights, N, strict)
+        for pos, gid in enumerate(comp.ids):
+            vals = []
+            for atom, k in zip(comp.atoms, counts):
+                vals.extend([float(atom[pos])] * k)
+            vals.sort()
             entries[gid] = _turned_diagonal(vals, V)
-            norm = max(norm, max(abs(v) for v in vals))
-    return InitialFamily(N, entries, norm)
+    return InitialFamily(N, entries)
 
 
 # ---------------------------------------------------------------------------

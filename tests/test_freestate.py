@@ -22,7 +22,6 @@ from liblab.freestate import (
     free_product_limit_state,
     free_ubm_moment,
     lemma51_bound_check,
-    mixed_v_moment,
 )
 from liblab.ncalg import EMPTY_WORD, NCPolynomial, Vs, VsStar, Word, Xs, format_word
 from references import TupleLetterMoment, free_product_moment
@@ -72,17 +71,6 @@ class TestMarginalLaw:
         law = MarginalLaw(1, atoms=[2, -1], weights=[F(1, 3), F(2, 3)])
         assert law.moment(1) == 0
         assert law.moment(2) == 2
-        assert law.norm_bound == 2
-
-    def test_hankel_psd(self):
-        law = MarginalLaw(1, atoms=[1, 0], weights=[F(1, 2), F(1, 2)])
-        assert law.hankel_psd(6)
-        bad = MarginalLaw(1, moments=[0, -1, 0, 1], norm_bound=1)
-        assert not bad.hankel_psd(4)
-
-    def test_moment_bound(self):
-        law = MarginalLaw(2, moments=[0, 1, 0, 2, 0, 5], norm_bound=2)
-        assert all(abs(law.moment(k)) <= 2**k for k in range(1, 7))
 
 
 class TestFreeUbmMoment:
@@ -162,35 +150,50 @@ class TestFreeProduct:
 
 
 class TestMixedVMoment:
+    # V/V* words under n free unitary BMs: a liberation state of the empty law
+
     def test_single_motion_mean(self):
-        assert abs(mixed_v_moment(Word((Vs(1, 1),)), 2) - math.exp(-0.5)) < 1e-10
+        tau = LiberationState(InitialLaw([]), 2)
+        assert abs(tau.extended_moment(Word((Vs(1, 1),))) - math.exp(-0.5)) < 1e-10
 
     def test_cross_term(self):
         w = Word((VsStar(1, 1), Vs(2, 1)))
-        assert abs(mixed_v_moment(w, 2) - math.exp(-1.0)) < 1e-10
+        tau = LiberationState(InitialLaw([]), 2)
+        assert abs(tau.extended_moment(w) - math.exp(-1.0)) < 1e-10
 
     def test_constant_motion(self):
         # index n_free + 1 acts as the constant 1
         w = Word((VsStar(1, 1), Vs(3, 1)))
-        assert abs(mixed_v_moment(w, 2) - math.exp(-0.5)) < 1e-10
+        tau = LiberationState(InitialLaw([]), 2)
+        assert abs(tau.extended_moment(w) - math.exp(-0.5)) < 1e-10
 
     def test_unitarity(self):
         w = Word((Vs(1, 1), VsStar(1, 1)))
-        assert mixed_v_moment(w, 2) == 1
+        assert LiberationState(InitialLaw([]), 2).extended_moment(w) == 1
 
     def test_multi_time_increment_reduction(self):
         # tau(v(t2) v(t1)*) = m_1(t2 - t1) by free multiplicative increments
+        tau = LiberationState(InitialLaw([]), 1)
         for t1, t2 in ((F(1, 2), F(1)), (F(1, 4), F(3, 4))):
             w = Word((Vs(1, t2), VsStar(1, t1)))
-            assert abs(mixed_v_moment(w, 1) - math.exp(-float(t2 - t1) / 2)) < 1e-10
+            assert abs(tau.extended_moment(w) - math.exp(-float(t2 - t1) / 2)) < 1e-10
 
     def test_power_collapse(self):
         w = Word((Vs(1, 1), Vs(1, 1)))
-        assert abs(mixed_v_moment(w, 1) - free_ubm_moment(2, 1)) < 1e-12
+        tau = LiberationState(InitialLaw([]), 1)
+        assert abs(tau.extended_moment(w) - free_ubm_moment(2, 1)) < 1e-12
 
     def test_rejects_x_letters(self):
-        with pytest.raises(UnsupportedWord):
-            mixed_v_moment(Word((Xs(1, 1, 0),)), 1)
+        # an X letter names a generator that the empty initial law lacks
+        tau = LiberationState(InitialLaw([]), 1)
+        with pytest.raises(UnsupportedWord, match=r"x_\{1,1\} is not in the initial law"):
+            tau.extended_moment(Word((Xs(1, 1, 0),)))
+
+    @pytest.mark.parametrize("state_cls", [LiberationState, FreeProductState])
+    def test_unknown_generator_named(self, state_cls):
+        state = state_cls(two_projections(), 2)
+        with pytest.raises(UnsupportedWord, match=r"x_\{3,1\} is not in the initial law"):
+            state.extended_moment(Word((Xs(1, 1, F(1, 2)), Xs(3, 1, 0))))
 
 
 class TestLiberationState:

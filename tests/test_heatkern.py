@@ -1,5 +1,5 @@
-"""Elliptic integrals, the supercritical free energy, the sandwich bounds,
-and the circle heat kernel."""
+"""Elliptic integrals from m1 = 1 - k^2, the supercritical parametrization
+T(m1) and its inversion, the free energy and the sandwich bounds."""
 
 import math
 
@@ -13,52 +13,50 @@ from liblab.errors import DomainError
 from liblab.heatkern import (
     PI_SQ,
     FreeEnergyPoint,
-    T_of_k,
-    circle_heat_kernel,
-    dE_dk,
-    dK_dk,
-    elliptic_ke,
+    _T_of_m1,
     elliptic_ke_m1,
     free_energy_F,
-    invert_T,
     liyau_sandwich,
 )
 
 
+def ke_of_k(k):
+    """(K, E) at modulus k, through m1 = (1 - k)(1 + k)."""
+    return elliptic_ke_m1((1 - k) * (1 + k))
+
+
 class TestElliptic:
     def test_k_zero(self):
-        v = elliptic_ke(0.0)
-        assert abs(v.K - math.pi / 2) < 1e-14
-        assert abs(v.E - math.pi / 2) < 1e-14
+        K, E = ke_of_k(0.0)
+        assert abs(K - math.pi / 2) < 1e-14
+        assert abs(E - math.pi / 2) < 1e-14
 
     def test_against_scipy(self):
         for k in (0.05, 0.3, 0.5, 0.8, 0.95, 0.999):
-            v = elliptic_ke(k)
+            K, E = ke_of_k(k)
             m1 = (1 - k) * (1 + k)
-            assert abs(v.K - ellipkm1(m1)) < 1e-12
-            assert abs(v.E - ellipe(k * k)) < 1e-12
+            assert abs(K - ellipkm1(m1)) < 1e-12
+            assert abs(E - ellipe(k * k)) < 1e-12
 
     def test_against_direct_quadrature(self):
         # second independent route: numerical integration of the definitions
         for k in (0.2, 0.7):
             K_q = quad(lambda s: 1 / math.sqrt((1 - s * s) * (1 - k * k * s * s)), 0, 1)[0]
             E_q = quad(lambda s: math.sqrt(1 - k * k * s * s) / math.sqrt(1 - s * s), 0, 1)[0]
-            v = elliptic_ke(k)
-            assert abs(v.K - K_q) < 1e-9
-            assert abs(v.E - E_q) < 1e-9
+            K, E = ke_of_k(k)
+            assert abs(K - K_q) < 1e-9
+            assert abs(E - E_q) < 1e-9
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            elliptic_ke(1.0)
-        with pytest.raises(DomainError):
-            elliptic_ke(-0.1)
+            ke_of_k(1.0)
 
     def test_invariant_ordering(self):
         for k in (0.1, 0.5, 0.9):
-            v = elliptic_ke(k)
-            assert v.K >= math.pi / 2
-            assert v.E <= math.pi / 2
-            assert v.E <= v.K
+            K, E = ke_of_k(k)
+            assert K >= math.pi / 2
+            assert E <= math.pi / 2
+            assert E <= K
 
     def test_log_divergence_of_K(self):
         diffs = []
@@ -87,48 +85,31 @@ class TestElliptic:
             vals.append((1 - k) ** 0.25 * K)
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
-    def test_derivative_closed_forms(self):
-        eps = 1e-6
-        for k in [0.1 * q for q in range(1, 10)]:
-            fd_K = (elliptic_ke(k + eps).K - elliptic_ke(k - eps).K) / (2 * eps)
-            fd_E = (elliptic_ke(k + eps).E - elliptic_ke(k - eps).E) / (2 * eps)
-            assert abs(fd_K - dK_dk(k)) < 1e-6 * max(1, abs(dK_dk(k)))
-            assert abs(fd_E - dE_dk(k)) < 1e-6
-
-
 class TestInvertT:
     def test_boundary_value(self):
-        assert abs(T_of_k(0.0) - PI_SQ) < 1e-12
+        assert abs(_T_of_m1(1.0) - PI_SQ) < 1e-12
 
     def test_monotone(self):
-        ks = [0.1 * q for q in range(10)]
-        Ts = [T_of_k(k) for k in ks]
-        assert all(a < b for a, b in zip(Ts, Ts[1:]))
+        m1s = [0.1 * q for q in range(1, 11)]
+        Ts = [_T_of_m1(m1) for m1 in m1s]
+        assert all(a > b for a, b in zip(Ts, Ts[1:]))
 
     def test_round_trip(self):
-        assert abs(invert_T(T_of_k(0.5)) - 0.5) < 1e-9
-        for k in (0.2, 0.8, 0.99):
-            assert abs(invert_T(T_of_k(k)) - k) < 1e-9
+        for k in (0.2, 0.5, 0.8, 0.99):
+            m1 = (1 - k) * (1 + k)
+            assert abs(FreeEnergyPoint(_T_of_m1(m1)).m1 - m1) < 1e-9 * m1
 
     def test_residual(self):
-        for T in (12.0, 25.0):
-            k = invert_T(T)
-            assert abs(T_of_k(k) - T) < 1e-9 * T
-        # near k -> 1 the modulus itself carries only ~sqrt(eps) of the m1
-        # information (k = 1 - m1/2 + ...), so the k-space round trip degrades
-        # and past T ~ 350 k rounds to exactly 1.0; check m1 coordinates there
-        k = invert_T(100.0)
-        assert abs(T_of_k(k) - 100.0) < 1e-4 * 100.0
-        for T in (100.0, 400.0, 1000.0):
-            m1 = FreeEnergyPoint(T).m1
-            assert abs(heatkern._T_of_m1(m1) - T) < 1e-9 * T
-        assert invert_T(400.0) == 1.0
+        # m1 keeps the resolution that k loses near k -> 1 (past T ~ 350 k
+        # rounds to exactly 1.0), so the residual is checked in m1
+        for T in (12.0, 25.0, 100.0, 400.0, 1000.0):
+            assert abs(_T_of_m1(FreeEnergyPoint(T).m1) - T) < 1e-9 * T
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            invert_T(PI_SQ)
+            FreeEnergyPoint(PI_SQ)
         with pytest.raises(DomainError):
-            invert_T(5.0)
+            FreeEnergyPoint(5.0)
 
 
 class TestFreeEnergy:
@@ -184,11 +165,11 @@ class TestFreeEnergy:
 
     def test_point_invariant(self):
         pt = FreeEnergyPoint(40.0)
-        assert abs(T_of_k(pt.k) - 40.0) < 1e-8 * 40.0
-        # past T ~ 150 k rounds to 1.0 and T_of_k(k) would raise; m1 does not
+        assert abs(_T_of_m1(pt.m1) - 40.0) < 1e-8 * 40.0
+        # past T ~ 150 k rounds to 1.0; m1 keeps the point's resolution
         pt = FreeEnergyPoint(200.0)
         assert pt.k == 1.0
-        assert abs(heatkern._T_of_m1(pt.m1) - 200.0) < 1e-9 * 200.0
+        assert abs(_T_of_m1(pt.m1) - 200.0) < 1e-9 * 200.0
         assert pt.F == heatkern.free_energy_F(200.0)
 
 
@@ -229,24 +210,3 @@ class TestSandwich:
         expected = free_energy_F(2 * PI_SQ) + 0.5 * math.log(0.5) - PI_SQ / T
         assert abs(low - expected) < 1e-12
 
-
-class TestCircleKernel:
-    def test_symmetry(self):
-        for th in (0.3, 1.2, 2.9):
-            assert circle_heat_kernel(th, 0.7) == circle_heat_kernel(-th, 0.7)
-
-    def test_normalization(self):
-        val = quad(lambda th: circle_heat_kernel(th, 0.5), -math.pi, math.pi)[0] / (
-            2 * math.pi
-        )
-        assert abs(val - 1.0) < 1e-8
-
-    def test_argmax_at_identity(self):
-        t = 0.4
-        p0 = circle_heat_kernel(0.0, t)
-        for th in [q * math.pi / 16 for q in range(1, 17)]:
-            assert circle_heat_kernel(th, t) < p0
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            circle_heat_kernel(0.0, 0.0)

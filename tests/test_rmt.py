@@ -44,14 +44,6 @@ class TestInitialFamily:
         fam = rmt.build_initial_family([law], 4, strict=False)
         assert fam.matrix((1, 1)).shape == (4, 4)
 
-    def test_semicircle_quantiles(self):
-        law = rmt.SemicircleLaw(1)
-        fam = rmt.build_initial_family([law], 64)
-        m = fam.matrix((1, 1))
-        tr2 = float(np.trace(m @ m).real / 64)
-        assert abs(tr2 - 1.0) < 0.02
-        assert fam.norm_bound <= 2.0 + 1e-9
-
     def test_correlated_component(self):
         joint = InitialLaw(
             [AtomicComponent([(1, 1), (2, 1)], [(1, 1), (0, 0)], [F(1, 2), F(1, 2)])]

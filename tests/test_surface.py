@@ -1,0 +1,65 @@
+"""Guard against regrowth of library code that no program path reaches.
+
+Every top-level public function and class of ``src/liblab`` must be named
+somewhere in the program (``src/liblab`` or ``perfbench``, not its tests)
+other than on its own definition line, or be listed in ``KEPT`` with the
+reason it stays.
+"""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBLAB = sorted((ROOT / "src" / "liblab").glob("*.py"))
+PROGRAM = LIBLAB + sorted((ROOT / "perfbench").glob("*.py"))
+
+KEPT = {
+    "catalan": "acceptance criterion 06 counts NC(n) against the Catalan numbers",
+    "enumerate_nc": "acceptance criterion 06 counts NC(n) against the Catalan numbers",
+    "scalar_cumulants": "acceptance criterion 06 round-trips moments and cumulants",
+    "liberation_derivation": "tests check cyclic_derivative against the paper's D_s^(k)",
+    "parse_polynomial": "tests round-trip format_polynomial through it",
+}
+
+
+def public_definitions():
+    """(name, path, line) of every top-level public def and class."""
+    out = []
+    for path in LIBLAB:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not node.name.startswith("_"):
+                    out.append((node.name, path, node.lineno))
+    return out
+
+
+def unreached(definitions, program):
+    """Names of ``definitions`` with no word-boundary occurrence in the
+    ``program`` files other than their own definition line."""
+    lines = {path: path.read_text().splitlines() for path in program}
+    missing = []
+    for name, def_path, def_line in definitions:
+        pattern = re.compile(r"\b%s\b" % re.escape(name))
+        if not any(
+            pattern.search(text)
+            for path, texts in lines.items()
+            for lineno, text in enumerate(texts, 1)
+            if not (path == def_path and lineno == def_line)
+        ):
+            missing.append(name)
+    return missing
+
+
+def test_every_public_name_is_reached():
+    missing = [n for n in unreached(public_definitions(), PROGRAM) if n not in KEPT]
+    assert not missing, "defined in src/liblab but reached by no program path: %s" % missing
+
+
+def test_kept_names_exist_and_are_unreached():
+    # an entry whose name is gone, or that the program now reaches, is stale
+    definitions = public_definitions()
+    assert set(KEPT) <= {name for name, _, _ in definitions}
+    assert set(unreached(definitions, PROGRAM)) >= set(KEPT)
+
