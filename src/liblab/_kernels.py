@@ -4,10 +4,11 @@ exp(i s H) of one Hermitian matrix.
 The exponential is a Taylor polynomial in X = i s H, of degree K chosen from
 a bound on the spectral norm of X: X is normal, so
 
-    ||X||_2 <= b = min(||X||_1, ||X^2||_1^(1/2), ||X^4||_1^(1/4)),
+    ||X||_2 = ||X^4||_2^(1/4) <= b = ||X^4||_1^(1/4).
 
-and for real theta the Taylor remainder of e^{i theta} after degree K is at
-most |theta|^(K+1)/(K+1)!. K is the least of 3, 7, 11, 15, 19 with
+The induced 1-norm is sub-multiplicative, so b <= ||X^2||_1^(1/2) <= ||X||_1:
+the lower powers never give a smaller bound. For real theta the Taylor
+remainder of e^{i theta} after degree K is at most |theta|^(K+1)/(K+1)!. K is the least of 3, 7, 11, 15, 19 with
 b^(K+1)/(K+1)! <= 2^-53. When b > 1, X is first halved q times (so b <= 1)
 and the polynomial squared q times.
 """
@@ -39,11 +40,6 @@ def assemble_gue(A, B, out=None):
     return H
 
 
-def _norm1(M, scratch):
-    np.abs(M, out=scratch)
-    return float(scratch.sum(axis=0).max())
-
-
 def expi_workspace(N):
     """Scratch for ``expi`` at dimension N: X, X^2, X^3, X^4 and up to five
     coefficient blocks."""
@@ -70,8 +66,8 @@ def expi(H, s, work=None):
     np.multiply(H, 1j * s, out=X)
     np.matmul(X, X, out=X2)
     np.matmul(X2, X2, out=X4)
-    scratch = work[4].real  # free until the blocks are formed
-    b = min(_norm1(X, scratch), _norm1(X2, scratch) ** 0.5, _norm1(X4, scratch) ** 0.25)
+    # ||X^4||_1 through work[4], which is free until the blocks are formed
+    b = float(np.abs(X4, out=work[4].real).sum(axis=0).max()) ** 0.25
     q = math.ceil(math.log2(b)) if b > 1.0 else 0
     if q:  # power-of-two scalings are exact
         X *= 2.0**-q

@@ -166,7 +166,7 @@ def _empirical_liberation(N, seed, grid, horizon, path=0):
     family = rmt.build_initial_family(sigma0, N, strict=False)
     times = [Fraction(t) for t in grid if 0 < t <= horizon]
     traj = rmt.simulate_trajectory(N, 2, times, _STEP, seed, path)
-    return ratefn.EmpiricalTrajectory(family, [traj])
+    return ratefn.EmpiricalTrajectory(family, traj)
 
 
 # One trajectory of liberation-convergence: path seed_index at dimension N.
@@ -481,6 +481,11 @@ def _validate(cfg):
         raise ConfigError(
             "max_len must be <= %d, the Prop 8.1 word-length cap, got %d"
             % (PROP81_LENGTH_CAP, cfg["max_len"])
+        )
+    if "n_words" in cfg and cfg["n_words"] > 4:
+        # prop81-check draws its P and y from the alternating words of length <= 2
+        raise ConfigError(
+            "n_words must be <= 4, the alternating words of length <= 2, got %d" % cfg["n_words"]
         )
     if "T" in cfg and not cfg["T"] > 0:
         raise ConfigError("T must be > 0, got %s" % cfg["T"])

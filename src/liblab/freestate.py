@@ -111,10 +111,6 @@ class MarginalLaw:
         ids = [(label, j + 1) for j in range(len(vec_atoms[0]))]
         self.component = AtomicComponent(ids, vec_atoms, weights)
 
-    def moment(self, k: int):
-        gid = self.component.ids[0]
-        return self.component.joint_moment((gid,) * k)
-
 
 class InitialLaw:
     """sigma0: a tracial state on the time-zero generators, presented as a

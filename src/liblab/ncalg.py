@@ -274,9 +274,6 @@ class NCPolynomial:
     def adjoint(self):
         return NCPolynomial({w.adjoint(): c.conjugate() for w, c in self.terms.items()})
 
-    def is_zero(self):
-        return not self.terms
-
     def is_x_only(self):
         return all(w.is_x_only() for w in self.terms)
 
@@ -309,16 +306,6 @@ class TensorPolynomial:
     def __add__(self, other):
         return TensorPolynomial(itertools.chain(self.terms.items(), other.terms.items()))
 
-    def is_zero(self):
-        return not self.terms
-
-    def mul_left_first(self, word: Word):
-        """(word otimes 1) . self"""
-        return TensorPolynomial({(word * a, b): c for (a, b), c in self.terms.items()})
-
-    def mul_right_second(self, word: Word):
-        """self . (1 otimes word)"""
-        return TensorPolynomial({(a, b * word): c for (a, b), c in self.terms.items()})
 
 
 def _derivation_terms(p: NCPolynomial, k: int, s):

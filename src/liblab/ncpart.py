@@ -44,16 +44,6 @@ class SetPartition:
     def __repr__(self):
         return "{" + "|".join(",".join(str(e) for e in b) for b in self.blocks) + "}"
 
-    @classmethod
-    def parse(cls, text):
-        """Parse the text form ``{1,4|2,3}``."""
-        text = text.strip()
-        if not (text.startswith("{") and text.endswith("}")):
-            raise ValueError("partition text must be wrapped in { }")
-        inner = text[1:-1]
-        blocks = [[int(e) for e in part.split(",")] for part in inner.split("|") if part]
-        return cls(blocks)
-
 
 class NonCrossingPartition(SetPartition):
     """A set partition with no a<b<c<d such that {a,c} and {b,d} split across two blocks."""

@@ -24,42 +24,24 @@ NEG_INF = "-inf"  # tagged value for log(0) outputs; never a float sentinel
 
 
 # ---------------------------------------------------------------------------
-# Word enumeration and evaluators
-
-
-def words_up_to(n_rows, n_cols, max_len, times=(None,)):
-    """All X-words with row indices <= n_rows, column indices <= n_cols,
-    length 1..max_len; each letter takes every time in ``times`` (None = 0)."""
-    out = []
-    ids = [(i, j) for i in range(1, n_rows + 1) for j in range(1, n_cols + 1)]
-    for length in range(1, max_len + 1):
-        for combo in itertools.product(ids, repeat=length):
-            for ts in itertools.product(times, repeat=length):
-                out.append(
-                    Word(tuple(Xs(i, j, 0 if t is None else t) for (i, j), t in zip(combo, ts)))
-                )
-    return out
+# Empirical word moments
 
 
 class EmpiricalTrajectory:
-    """Word-moment evaluator averaging matrix traces over one or more
-    resolved paths (trajectories or Haar tuples) of a fixed initial family.
+    """Word moments of one resolved path (a trajectory or a Haar tuple) of a
+    fixed initial family: normalized matrix traces.
 
-    Each resolver has its own letter memo, so a letter's matrix is formed
-    once per resolver however many words use it, and a word reuses the
-    prefix product of the word before it when they share that prefix."""
+    A letter memo keeps each letter's matrix, formed once however many words
+    use it, and a word reuses the prefix product of the word before it when
+    they share that prefix."""
 
-    def __init__(self, family, resolvers):
+    def __init__(self, family, resolver):
         self.family = family
-        self.resolvers = list(resolvers)
-        self._letters = [{} for _ in self.resolvers]
+        self.resolver = resolver
+        self._letters = {}
 
     def moment(self, word: Word) -> complex:
-        vals = [
-            rmt.evaluate_word_trace(word, self.family, r, memo)
-            for r, memo in zip(self.resolvers, self._letters)
-        ]
-        return complex(np.mean(vals))
+        return rmt.evaluate_word_trace(word, self.family, self.resolver, self._letters)
 
 
 def _moment_of(evaluator, word):
@@ -72,16 +54,13 @@ def _moment_of(evaluator, word):
 # Trajectory metric (truncated)
 
 
-def _metric_levels(m_max, l_max, grid, gen_ids=None):
+def _metric_levels(m_max, l_max, grid, gen_ids):
     """(m, l, words) for each level of the truncated metric, in order;
     ``words`` iterates over the level's words, the last letter's time
     innermost."""
     for m in range(1, m_max + 1):
         times_m = [t for t in grid if 0 <= t <= m]
-        if gen_ids is None:
-            ids = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)]
-        else:
-            ids = [(i, j) for (i, j) in gen_ids if i <= m and j <= m]
+        ids = [(i, j) for (i, j) in gen_ids if i <= m and j <= m]
         if not ids or not times_m:
             continue
         for ell in range(1, l_max + 1):
@@ -93,21 +72,21 @@ def _metric_levels(m_max, l_max, grid, gen_ids=None):
             yield m, ell, words
 
 
-def trajectory_metric_words(m_max, l_max, grid, gen_ids=None):
+def trajectory_metric_words(m_max, l_max, grid, gen_ids):
     """The distinct words that ``trajectory_metric_d`` reads, in the order it
     first reads them."""
     levels = _metric_levels(m_max, l_max, grid, gen_ids)
     return list(dict.fromkeys(w for _m, _ell, words in levels for w in words))
 
 
-def trajectory_metric_d(t1, t2, m_max, l_max, grid, gen_ids=None) -> float:
+def trajectory_metric_d(t1, t2, m_max, l_max, grid, gen_ids) -> float:
     """Truncated metric: sum over m <= m_max, l <= l_max of 2^{-m-l} times the
-    max over words of length l (indices <= m) with letter times from ``grid``
-    (restricted to [0, m]) of min(|Delta moment|, 1).
+    max over words of length l in the generators ``gen_ids`` with indices
+    <= m and letter times from ``grid`` (restricted to [0, m]) of
+    min(|Delta moment|, 1).
 
-    ``gen_ids`` optionally restricts the generator alphabet (still filtered
-    by the index cap m at each level). A word that several levels share is
-    evaluated once per call, on both sides."""
+    A word that several levels share is evaluated once per call, on both
+    sides."""
     total = 0.0
     gaps = {}  # word -> min(|Delta moment|, 1)
     for m, ell, words in _metric_levels(m_max, l_max, grid, gen_ids):
@@ -139,18 +118,14 @@ class NeighborhoodSpec:
         self.closed = closed
 
 
-def neighborhood_member(sigma_prime, sigma, spec: NeighborhoodSpec, gen_ids=None) -> bool:
+def neighborhood_member(sigma_prime, sigma, spec: NeighborhoodSpec, gen_ids) -> bool:
     """Membership of sigma' in O_{m,delta}(sigma) (strict) or F_{m,delta}
-    (closed): all time-0 words of length <= m in the given generators
-    (default: all (i, j) with i, j <= m)."""
-    if gen_ids is None:
-        words = words_up_to(spec.m, spec.m, spec.m)
-    else:
-        words = [
-            Word(tuple(Xs(i, j, 0) for i, j in combo))
-            for length in range(1, spec.m + 1)
-            for combo in itertools.product(gen_ids, repeat=length)
-        ]
+    (closed): all time-0 words of length <= m in the generators ``gen_ids``."""
+    words = (
+        Word(tuple(Xs(i, j, 0) for i, j in combo))
+        for length in range(1, spec.m + 1)
+        for combo in itertools.product(gen_ids, repeat=length)
+    )
     for w in words:
         gap = abs(_moment_of(sigma_prime, w) - _moment_of(sigma, w))
         if spec.closed:
@@ -166,7 +141,7 @@ def neighborhood_member(sigma_prime, sigma, spec: NeighborhoodSpec, gen_ids=None
 # chi_orb Monte Carlo
 
 
-def chi_orb_mc(sigma, family, N, spec: NeighborhoodSpec, samples, base_seed, n_motions=None):
+def chi_orb_mc(sigma, family, N, spec: NeighborhoodSpec, samples, base_seed, n_motions):
     """Estimate log nu_N({U tuples whose rotated trace lands in O_{m,delta}}).
 
     Returns (log_fraction, hits, samples) where log_fraction is the tagged
@@ -175,14 +150,12 @@ def chi_orb_mc(sigma, family, N, spec: NeighborhoodSpec, samples, base_seed, n_m
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if n_motions is None:
-        n_motions = max(gid[0] for gid in family.entries)
     gen_ids = sorted(family.entries)
     hits = 0
     for s in range(samples):
         rng = rmt.path_rng(base_seed, s)
         tup = rmt.HaarTuple({i: rmt.sample_haar(N, rng) for i in range(1, n_motions + 1)})
-        emp = EmpiricalTrajectory(family, [tup])
+        emp = EmpiricalTrajectory(family, tup)
         if neighborhood_member(emp, sigma, spec, gen_ids=gen_ids):
             hits += 1
     log_fraction = NEG_INF if hits == 0 else math.log(hits / samples)

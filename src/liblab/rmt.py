@@ -81,27 +81,20 @@ def _turned_diagonal(vals, V):
     return (M + M.conj().T) / 2  # exactly self-adjoint
 
 
-def build_initial_family(marginals, N, strict=True) -> InitialFamily:
+def build_initial_family(law: InitialLaw, N, strict=True) -> InitialFamily:
     """Atom-diagonal realization of the initial law at dimension N.
 
-    ``marginals`` is a list of MarginalLaw (free-product components) or an
-    InitialLaw (which may correlate generators inside one component). Each
-    atom of a component fills N times its weight diagonal entries, exactly
-    when every such count is an integer; otherwise IncompatibleN in strict
-    mode, largest-remainder rounding if not.
+    Each atom of a component of ``law`` fills N times its weight diagonal
+    entries, exactly when every such count is an integer; otherwise
+    IncompatibleN in strict mode, largest-remainder rounding if not.
 
     Each component's generators are diagonal in one basis. Component c >= 1
     (in order) is turned by the fixed Haar unitary
     ``sample_haar(N, path_rng(ROTATION_SEED, c))``, so that distinct
     components are asymptotically free rather than all diagonal together.
     """
-    if isinstance(marginals, InitialLaw):
-        components = marginals.components
-    else:
-        components = [m.component for m in marginals]
-
     entries = {}
-    for c, comp in enumerate(components):
+    for c, comp in enumerate(law.components):
         V = sample_haar(N, path_rng(ROTATION_SEED, c)) if c else None
         counts = _atom_counts(comp.weights, N, strict)
         for pos, gid in enumerate(comp.ids):
@@ -146,8 +139,12 @@ class BatchedUBM:
 
     ``self.U[i]`` is the (P, N, N) stack of the current unitaries of motion i;
     ``self.time`` is the exact current time (a Fraction multiple of h). A
-    step writes into buffers the engine keeps, among them the stack that was
-    current before it: copy a stack to keep it past the next step.
+    step updates every stack in place: copy a stack to keep it past the next
+    step.
+
+    A step draws, assembles, exponentiates and propagates one path at a
+    time, through one draw pair, one generator and one product buffer of
+    shape (N, N), so its scratch does not grow with P.
     """
 
     def __init__(self, N, n_motions, h, paths, base_seed, first_path=0):
@@ -158,10 +155,10 @@ class BatchedUBM:
         self.rngs = [path_rng(base_seed, p) for p in range(first_path, first_path + paths)]
         eye = np.eye(N, dtype=np.complex128)
         self.U = {i: np.tile(eye, (paths, 1, 1)) for i in range(1, n_motions + 1)}
-        self._spare = {i: np.empty_like(U) for i, U in self.U.items()}
-        self._A = np.empty((paths, N, N))
-        self._B = np.empty((paths, N, N))
-        self._H = np.empty((paths, N, N), dtype=np.complex128)
+        self._A = np.empty((N, N))
+        self._B = np.empty((N, N))
+        self._H = np.empty((N, N), dtype=np.complex128)
+        self._product = np.empty((N, N), dtype=np.complex128)
         self._work = _kernels.expi_workspace(N)
         self.steps_done = 0
 
@@ -171,16 +168,14 @@ class BatchedUBM:
 
     def step(self):
         sh = math.sqrt(float(self.h))
-        A, B, H = self._A, self._B, self._H
+        A, B, H, product = self._A, self._B, self._H, self._product
         for i in range(1, self.n + 1):
-            for p, rng in enumerate(self.rngs):
-                rng.standard_normal(out=A[p])
-                rng.standard_normal(out=B[p])
-            _kernels.assemble_gue(A, B, out=H)
-            U, out = self.U[i], self._spare[i]
-            for p in range(self.paths):
-                np.matmul(_kernels.expi(H[p], sh, self._work), U[p], out=out[p])
-            self.U[i], self._spare[i] = out, U
+            for rng, U in zip(self.rngs, self.U[i]):
+                rng.standard_normal(out=A)
+                rng.standard_normal(out=B)
+                _kernels.assemble_gue(A, B, out=H)
+                np.matmul(_kernels.expi(H, sh, self._work), U, out=product)
+                U[...] = product
         self.steps_done += 1
 
     def run_until(self, t, snapshot_times=(), callback=None):
@@ -194,14 +189,6 @@ class BatchedUBM:
             self.step()
             if self.time in snaps and callback is not None:
                 callback(self.time, self.U)
-
-    def traces(self, i, power=1):
-        """Per-path normalized traces tr_N U_i(t)^power."""
-        U = self.U[i]
-        M = U
-        for _ in range(power - 1):
-            M = M @ U
-        return np.trace(M, axis1=-2, axis2=-1) / self.N
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ def test_criterion_01_ubm_mean_trace():
     # N=64, T=1, 400 paths, h=1/200: E[tr U(1)] within 3 SE of e^{-1/2}
     eng = rmt.BatchedUBM(64, 1, F(1, 200), paths=400, base_seed=101)
     eng.run_until(F(1))
-    vals = eng.traces(1).real
+    vals = np.trace(eng.U[1], axis1=-2, axis2=-1).real / eng.N
     mean, se = float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
     target = math.exp(-0.5)
     gap = abs(mean - target)
@@ -220,7 +220,7 @@ def test_criterion_10_convergence_in_metric():
         if N not in family_cache:
             family_cache[N] = rmt.build_initial_family(sigma0, N, strict=False)
         traj = rmt.simulate_trajectory(N, 2, [t for t in grid if t > 0], F(1, 50), seed)
-        emp = ratefn.EmpiricalTrajectory(family_cache[N], [traj])
+        emp = ratefn.EmpiricalTrajectory(family_cache[N], traj)
         return ratefn.trajectory_metric_d(emp, oracle, 2, 3, grid, gen_ids=gen_ids)
 
     d16 = np.array([distance(16, 1000 + 7 * s) for s in range(10)])

@@ -96,6 +96,7 @@ class TestExitCodes:
             (["ubm-moments", "--T=-1/2"], "T must be > 0, got -1/2"),
             (["ubm-moments", "--T", "-1/2"], "T must be > 0, got -1/2"),
             (["rate-minimizer", "--max-len", "7"], "max_len must be <= 6, the Prop 8.1 word-length cap, got 7"),
+            (["prop81-check", "--n-words", "100"], "n_words must be <= 4, the alternating words of length <= 2, got 100"),
         ],
     )
     def test_nonpositive_count_is_config_error(self, argv, message, monkeypatch, capsys):

@@ -66,11 +66,17 @@ def two_projections(correlated=False):
     )
 
 
+def marginal_moment(law, k):
+    """tau(x^k) of the first generator of a MarginalLaw."""
+    gid = law.component.ids[0]
+    return law.component.joint_moment((gid,) * k)
+
+
 class TestMarginalLaw:
     def test_atomic_moments(self):
         law = MarginalLaw(1, atoms=[2, -1], weights=[F(1, 3), F(2, 3)])
-        assert law.moment(1) == 0
-        assert law.moment(2) == 2
+        assert marginal_moment(law, 1) == 0
+        assert marginal_moment(law, 2) == 2
 
 
 class TestFreeUbmMoment:
@@ -102,7 +108,7 @@ class TestFreeProduct:
         a = MarginalLaw(1, atoms=[2, 0], weights=[F(1, 4), F(3, 4)])
         b = MarginalLaw(2, atoms=[1, -1], weights=[F(1, 2), F(1, 2)])
         w = Word((Xs(1, 1, 0), Xs(2, 1, 0)))
-        assert free_product_moment([a, b], w) == a.moment(1) * b.moment(1)
+        assert free_product_moment([a, b], w) == marginal_moment(a, 1) * marginal_moment(b, 1)
 
     def test_alternating_centered_vanishes(self):
         # elements with zero mean: alternating words vanish exactly
@@ -116,8 +122,8 @@ class TestFreeProduct:
         a = MarginalLaw(1, atoms=[1, 0], weights=[F(1, 3), F(2, 3)])
         b = MarginalLaw(2, atoms=[3, 1], weights=[F(1, 2), F(1, 2)])
         w = Word((Xs(1, 1, 0), Xs(2, 1, 0), Xs(1, 1, 0), Xs(2, 1, 0)))
-        ta1, ta2 = a.moment(1), a.moment(2)
-        tb1, tb2 = b.moment(1), b.moment(2)
+        ta1, ta2 = marginal_moment(a, 1), marginal_moment(a, 2)
+        tb1, tb2 = marginal_moment(b, 1), marginal_moment(b, 2)
         expected = ta2 * tb1**2 + ta1**2 * tb2 - ta1**2 * tb1**2
         assert free_product_moment([a, b], w) == expected
 
@@ -446,11 +452,11 @@ class TestProp81:
 
     def test_s_past_time_vanishes(self, tau):
         E = conditional_expectation_prop81(Word((Xs(1, 1, 1),)), 1, F(3, 2), tau)
-        assert E.is_zero()
+        assert not E.terms
 
     def test_single_letter_vanishes(self, tau):
         E = conditional_expectation_prop81(Word((Xs(1, 1, 1),)), 1, F(1, 4), tau)
-        assert E.is_zero()
+        assert not E.terms
 
     def test_output_is_x_polynomial(self, tau):
         w = Word((Xs(1, 1, 1), Xs(2, 1, F(1, 2)), Xs(1, 1, 2)))
@@ -477,7 +483,7 @@ class TestProp81:
         state = LiberationState(two_projections(), 3)
         w = Word((Xs(1, 1, 1), Xs(2, 1, F(1, 2)), Xs(1, 1, 2), Xs(2, 1, F(3, 4))))
         first = conditional_expectation_prop81(w, 1, F(1, 4), state)
-        assert not first.is_zero()
+        assert first.terms
         expanded = len(calls)
         assert expanded == len(set(calls))
         for _ in range(3):

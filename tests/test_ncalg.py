@@ -179,11 +179,11 @@ class TestPickle:
 class TestDerivation:
     def test_wrong_motion_index_is_zero(self):
         d = liberation_derivation(NCPolynomial.from_word(Word((Xs(2, 1, 1),))), 1, F(1, 2))
-        assert d.is_zero()
+        assert not d.terms
 
     def test_s_past_time_is_zero(self):
         d = liberation_derivation(NCPolynomial.from_word(Word((Xs(1, 1, 1),))), 1, F(3, 2))
-        assert d.is_zero()
+        assert not d.terms
 
     def test_single_letter_tensor_output(self):
         t, s = F(1), F(1, 4)
@@ -211,14 +211,15 @@ class TestDerivation:
             k, s = rng.randint(1, 3), F(rng.randint(0, 8), 4)
             lhs = liberation_derivation(p * q, k, s)
             dp, dq = liberation_derivation(p, k, s), liberation_derivation(q, k, s)
+            # delta(pq) = delta(p) . (1 otimes q) + (p otimes 1) . delta(q)
             rhs = TensorPolynomial({})
             for wq, cq in q.terms.items():
                 rhs = rhs + TensorPolynomial(
-                    {pair: c * cq for pair, c in dp.mul_right_second(wq).terms.items()}
+                    {(a, b * wq): c * cq for (a, b), c in dp.terms.items()}
                 )
             for wp, cp in p.terms.items():
                 rhs = rhs + TensorPolynomial(
-                    {pair: c * cp for pair, c in dq.mul_left_first(wp).terms.items()}
+                    {(wp * a, b): c * cp for (a, b), c in dq.terms.items()}
                 )
             assert lhs == rhs
 
@@ -237,10 +238,10 @@ class TestCyclicDerivative:
         # theta maps both tensor legs of delta(x) to the same word, so the
         # cyclic derivative of one letter cancels exactly
         d = cyclic_derivative(NCPolynomial.from_word(Word((Xs(1, 1, 1),))), 1, F(1, 4))
-        assert d.is_zero()
+        assert not d.terms
 
     def test_scalar_vanishes(self):
-        assert cyclic_derivative(NCPolynomial.scalar(3.0), 1, F(1, 2)).is_zero()
+        assert not cyclic_derivative(NCPolynomial.scalar(3.0), 1, F(1, 2)).terms
 
     def test_commutator_form_matches_theta_delta(self):
         rng = random.Random(17)
@@ -294,8 +295,8 @@ class TestCyclicDerivative:
             theta = NCPolynomial((b * a, c) for (a, b), c in d.terms.items())
             assert cyclic_derivative(p, k, s) == theta
             q = NCPolynomial.from_word(w) - NCPolynomial.from_word(rot)
-            assert cyclic_derivative(q, k, s).is_zero()
-            cancelled += not liberation_derivation(q, k, s).is_zero()
+            assert not cyclic_derivative(q, k, s).terms
+            cancelled += bool(liberation_derivation(q, k, s).terms)
         assert cancelled > 10
 
     def test_star_law(self):
@@ -312,7 +313,7 @@ class TestCyclicDerivative:
         q = rand_x_poly(rng, terms=2, max_len=3)
         p = q + q.adjoint()
         d = cyclic_derivative(p, 1, F(1, 2))
-        assert (d + d.adjoint()).is_zero()
+        assert not (d + d.adjoint()).terms
 
 
 class TestPiS:

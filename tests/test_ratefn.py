@@ -28,7 +28,6 @@ from liblab.ratefn import (
     rate_integrand_eq9,
     trajectory_metric_d,
     trajectory_metric_words,
-    words_up_to,
 )
 
 
@@ -60,48 +59,15 @@ def hash_evaluator(seed):
 GEN_IDS = [(1, 1), (2, 1)]
 
 
-class TestWordsUpTo:
-    def test_counts(self):
-        assert len(words_up_to(2, 1, 2)) == 2 + 4
-        assert len(words_up_to(2, 2, 1)) == 4
-        assert len(words_up_to(2, 1, 2, times=(0, F(1, 2)))) == 2 * 2 + 4 * 4
-
-    def test_default_time_is_zero(self):
-        for w in words_up_to(2, 1, 2):
-            assert all(sym.t == 0 for sym in w.letters)
-
-
 class TestEmpiricalTrajectory:
     def test_single_resolver_trace(self):
         fam = rmt.build_initial_family(
-            [MarginalLaw(1, atoms=[1, 0], weights=[F(1, 2), F(1, 2)])], 4
+            InitialLaw.free_product([MarginalLaw(1, atoms=[1, 0], weights=[F(1, 2), F(1, 2)])]), 4
         )
         tup = rmt.HaarTuple({1: rmt.sample_haar(4, rmt.path_rng(0, 0))})
-        emp = EmpiricalTrajectory(fam, [tup])
+        emp = EmpiricalTrajectory(fam, tup)
         w = Word((Xs(1, 1, 0),))
         assert abs(emp.moment(w) - 0.5) < 1e-12
-
-    def test_average_over_resolvers(self):
-        fam = rmt.build_initial_family(
-            [
-                MarginalLaw(1, atoms=[1, 0], weights=[F(1, 2), F(1, 2)]),
-                MarginalLaw(2, atoms=[1, 0], weights=[F(1, 2), F(1, 2)]),
-            ],
-            8,
-        )
-        tups = [
-            rmt.HaarTuple(
-                {
-                    1: rmt.sample_haar(8, rmt.path_rng(s, 0)),
-                    2: rmt.sample_haar(8, rmt.path_rng(100 + s, 0)),
-                }
-            )
-            for s in range(2)
-        ]
-        emp = EmpiricalTrajectory(fam, tups)
-        w = Word((Xs(1, 1, 0), Xs(2, 1, 0)))
-        singles = [EmpiricalTrajectory(fam, [t]).moment(w) for t in tups]
-        assert abs(emp.moment(w) - sum(singles) / 2) < 1e-14
 
 
 class TestMetric:
@@ -153,7 +119,7 @@ class TestMetric:
 
             return moment
 
-        emp, oracle = EmpiricalTrajectory(fam, [traj]), LiberationState(two_projections(), 2)
+        emp, oracle = EmpiricalTrajectory(fam, traj), LiberationState(two_projections(), 2)
         d = trajectory_metric_d(counted(0, emp), counted(1, oracle), m_max, l_max, grid, GEN_IDS)
         for side in calls:
             assert sum(side.values()) == len(side) == 258
@@ -162,7 +128,7 @@ class TestMetric:
         def recomputed(w):
             return min(
                 abs(
-                    EmpiricalTrajectory(fam, [traj]).moment(w)
+                    EmpiricalTrajectory(fam, traj).moment(w)
                     - LiberationState(two_projections(), 2).moment(w)
                 ),
                 1.0,
@@ -227,13 +193,7 @@ class TestNeighborhood:
 class TestChiOrb:
     def setup_method(self):
         self.sigma = free_product_limit_state(two_projections(), 2)
-        self.family = rmt.build_initial_family(
-            [
-                MarginalLaw(1, atoms=[1, 0], weights=[F(1, 2), F(1, 2)]),
-                MarginalLaw(2, atoms=[1, 0], weights=[F(1, 2), F(1, 2)]),
-            ],
-            16,
-        )
+        self.family = rmt.build_initial_family(two_projections(), 16)
 
     def test_deterministic(self):
         spec = NeighborhoodSpec(2, 0.2)
@@ -271,7 +231,7 @@ class TestChiOrb:
 
     def test_sample_validation(self):
         with pytest.raises(ValueError):
-            chi_orb_mc(self.sigma, self.family, 16, NeighborhoodSpec(1, 0.1), 0, 0)
+            chi_orb_mc(self.sigma, self.family, 16, NeighborhoodSpec(1, 0.1), 0, 0, n_motions=2)
 
 
 class TestRateIntegrand:

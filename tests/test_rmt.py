@@ -4,6 +4,7 @@ word traces."""
 import math
 import os
 import time
+import tracemalloc
 from fractions import Fraction as F
 
 import numpy as np
@@ -18,30 +19,23 @@ from liblab.ratefn import EmpiricalTrajectory, trajectory_metric_d
 from references import gaussian_generator
 
 
-def proj_marginals():
-    return [
-        MarginalLaw(1, atoms=[1, 0], weights=[F(1, 2), F(1, 2)]),
-        MarginalLaw(2, atoms=[1, 0], weights=[F(1, 2), F(1, 2)]),
-    ]
-
-
 class TestInitialFamily:
     def test_projection_exact(self):
-        fam = rmt.build_initial_family(proj_marginals(), 4)
+        fam = rmt.build_initial_family(two_free_projections(), 4)
         m = fam.matrix((1, 1))
         assert np.array_equal(np.sort(np.diag(m).real), [0, 0, 1, 1])
         assert np.trace(m).real / 4 == 0.5
 
     def test_symmetric_sign_law(self):
         law = MarginalLaw(1, atoms=[1, -1], weights=[F(1, 2), F(1, 2)])
-        fam = rmt.build_initial_family([law], 2)
+        fam = rmt.build_initial_family(InitialLaw.free_product([law]), 2)
         assert np.trace(fam.matrix((1, 1))).real == 0
 
     def test_incompatible_N(self):
         law = MarginalLaw(1, atoms=[1, 0], weights=[F(1, 3), F(2, 3)])
         with pytest.raises(IncompatibleN):
-            rmt.build_initial_family([law], 4)
-        fam = rmt.build_initial_family([law], 4, strict=False)
+            rmt.build_initial_family(InitialLaw.free_product([law]), 4)
+        fam = rmt.build_initial_family(InitialLaw.free_product([law]), 4, strict=False)
         assert fam.matrix((1, 1)).shape == (4, 4)
 
     def test_correlated_component(self):
@@ -52,7 +46,7 @@ class TestInitialFamily:
         assert np.array_equal(fam.matrix((1, 1)), fam.matrix((2, 1)))
 
     def test_matrices_selfadjoint(self):
-        fam = rmt.build_initial_family(proj_marginals(), 8)
+        fam = rmt.build_initial_family(two_free_projections(), 8)
         for m in fam.entries.values():
             assert np.allclose(m, m.conj().T, atol=1e-12)
 
@@ -67,8 +61,8 @@ class TestInitialFamily:
         assert np.max(np.abs(b @ b - b)) < 1e-12
 
     def test_fixed_rotation_is_reproducible(self):
-        a = rmt.build_initial_family(proj_marginals(), 8).matrix((2, 1))
-        b = rmt.build_initial_family(proj_marginals(), 8).matrix((2, 1))
+        a = rmt.build_initial_family(two_free_projections(), 8).matrix((2, 1))
+        b = rmt.build_initial_family(two_free_projections(), 8).matrix((2, 1))
         assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("N", [16, 32, 64, 128])
@@ -82,7 +76,7 @@ class TestInitialFamily:
         ds = []
         for seed in (0, 1):
             traj = rmt.simulate_trajectory(N, 2, grid[1:], F(1, 50), seed)
-            emp = EmpiricalTrajectory(fam, [traj])
+            emp = EmpiricalTrajectory(fam, traj)
             ds.append(trajectory_metric_d(emp, oracle, 2, 3, grid, gen_ids=[(1, 1), (2, 1)]))
         assert 0.03 <= N * np.mean(ds) <= 0.3
 
@@ -203,6 +197,20 @@ class TestStepperBuffers:
                 assert np.array_equal(eng.U[i], U[i])
 
 
+    def test_step_scratch_does_not_grow_with_paths(self):
+        # a step works one path at a time, so at 400 paths its buffers come
+        # to a small part of one (P, N, N) complex stack (25 MiB here)
+        tracemalloc.start()
+        try:
+            eng = rmt.BatchedUBM(64, 1, F(1, 200), paths=400, base_seed=0)
+            eng.step()
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        extra = peak - eng.U[1].nbytes
+        assert extra < 4 * 2**20, "%.1f MiB beyond the U stack" % (extra / 2**20)
+
+
 class TestHaar:
     def test_unitary(self):
         U = rmt.sample_haar(16, rmt.path_rng(3, 0))
@@ -281,12 +289,12 @@ class TestTrajectory:
 
 class TestWordTrace:
     def test_empty_word(self):
-        fam = rmt.build_initial_family(proj_marginals(), 4)
+        fam = rmt.build_initial_family(two_free_projections(), 4)
         t = rmt.simulate_trajectory(4, 2, [F(1, 10)], F(1, 10), base_seed=2)
         assert rmt.evaluate_word_trace(EMPTY_WORD, fam, t) == 1
 
     def test_single_letter_time_invariant(self):
-        fam = rmt.build_initial_family(proj_marginals(), 8)
+        fam = rmt.build_initial_family(two_free_projections(), 8)
         t = rmt.simulate_trajectory(8, 2, [F(1, 10), F(1, 5)], F(1, 10), base_seed=3)
         v0 = rmt.evaluate_word_trace(Word((Xs(1, 1, 0),)), fam, t)
         v1 = rmt.evaluate_word_trace(Word((Xs(1, 1, F(1, 10)),)), fam, t)
@@ -299,7 +307,7 @@ class TestWordTrace:
             MarginalLaw(1, atoms=[1, 0], weights=[F(1, 2), F(1, 2)]),
             MarginalLaw(3, atoms=[1, -1], weights=[F(1, 2), F(1, 2)]),
         ]
-        fam = rmt.build_initial_family(fams, 4)
+        fam = rmt.build_initial_family(InitialLaw.free_product(fams), 4)
         t = rmt.simulate_trajectory(4, 2, [F(1, 10)], F(1, 10), base_seed=5)
         # row 3 > n_motions = 2: xi enters raw; a pure row-3 word sees only
         # the deterministic diagonal matrix
@@ -308,13 +316,13 @@ class TestWordTrace:
         assert abs(val - 1.0) < 1e-12
 
     def test_v_letters_resolve_to_unitaries(self):
-        fam = rmt.build_initial_family(proj_marginals(), 8)
+        fam = rmt.build_initial_family(two_free_projections(), 8)
         t = rmt.simulate_trajectory(8, 2, [F(1, 10)], F(1, 10), base_seed=6)
         w = Word((Vs(1, F(1, 10)), VsStar(1, F(1, 10))))
         assert abs(rmt.evaluate_word_trace(w, fam, t) - 1.0) < 1e-10
 
     def test_haar_tuple_ignores_time(self):
-        fam = rmt.build_initial_family(proj_marginals(), 8)
+        fam = rmt.build_initial_family(two_free_projections(), 8)
         tup = rmt.HaarTuple(
             {1: rmt.sample_haar(8, rmt.path_rng(1, 0)), 2: rmt.sample_haar(8, rmt.path_rng(2, 0))}
         )
@@ -367,7 +375,10 @@ def three_row_family(N, sign_law=False):
     """Rows 1 and 2 for the motions, row 3 > n = 2 left unconjugated."""
     atoms = [1, -1] if sign_law else [1, 0]
     return rmt.build_initial_family(
-        [MarginalLaw(g, atoms=atoms, weights=[F(1, 2), F(1, 2)]) for g in (1, 2, 3)], N
+        InitialLaw.free_product(
+            [MarginalLaw(g, atoms=atoms, weights=[F(1, 2), F(1, 2)]) for g in (1, 2, 3)]
+        ),
+        N,
     )
 
 
@@ -407,19 +418,19 @@ class TestLetterMemo:
     def test_memo_keeps_numbers_exact(self, kind):
         fam = three_row_family(8)
         res = _resolvers(8)[kind]
-        emp = EmpiricalTrajectory(fam, [res])
+        emp = EmpiricalTrajectory(fam, res)
         memo = {}
         for _ in range(2):  # the second pass reads every letter from the memo
             for w in _letter_words():
                 ref = _per_letter_trace(w, fam, res)
                 assert rmt.evaluate_word_trace(w, fam, res) == ref
                 assert rmt.evaluate_word_trace(w, fam, res, memo) == ref
-                assert emp.moment(w) == complex(np.mean([ref]))
+                assert emp.moment(w) == ref
 
     def test_off_grid_letter_is_not_stored(self):
         fam = three_row_family(8)
         traj = _resolvers(8)["trajectory"]
-        emp = EmpiricalTrajectory(fam, [traj])
+        emp = EmpiricalTrajectory(fam, traj)
         on_grid = Word((Xs(1, 1, F(1, 10)), Xs(2, 1, F(1, 5))))
         off_grid = Word((Xs(1, 1, F(1, 10)), Xs(2, 1, F(3, 20))))
         for _ in range(2):
@@ -468,8 +479,8 @@ class TestLetterMemo:
     def test_memo_does_not_leak_across_families(self):
         traj = _resolvers(8)["trajectory"]
         fam_a, fam_b = three_row_family(8), three_row_family(8, sign_law=True)
-        emp_a = EmpiricalTrajectory(fam_a, [traj])
-        emp_b = EmpiricalTrajectory(fam_b, [traj])
+        emp_a = EmpiricalTrajectory(fam_a, traj)
+        emp_b = EmpiricalTrajectory(fam_b, traj)
         w = Word((Xs(1, 1, F(1, 10)), Xs(2, 1, F(1, 5)), Xs(3, 1, 0)))
         for _ in range(2):
             got_a, got_b = emp_a.moment(w), emp_b.moment(w)

@@ -2,8 +2,9 @@
 
 Every top-level public function and class of ``src/liblab`` must be named
 somewhere in the program (``src/liblab`` or ``perfbench``, not its tests)
-other than on its own definition line, or be listed in ``KEPT`` with the
-reason it stays.
+other than on its own definition line, and every public method of a public
+class must occur there as ``.method``; otherwise the name is listed in
+``KEPT`` (methods as ``Class.method``) with the reason it stays.
 """
 
 import ast
@@ -20,28 +21,46 @@ KEPT = {
     "scalar_cumulants": "acceptance criterion 06 round-trips moments and cumulants",
     "liberation_derivation": "tests check cyclic_derivative against the paper's D_s^(k)",
     "parse_polynomial": "tests round-trip format_polynomial through it",
+    "UnitaryTrajectory.unitarity_defect": "tests bound the stepper's drift from U(N) with it; "
+    "a run's numerical-health report is to read it",
 }
 
 
+def _public(node, kinds):
+    return isinstance(node, kinds) and not node.name.startswith("_")
+
+
 def public_definitions():
-    """(name, path, line) of every top-level public def and class."""
+    """(name, path, line) of every top-level public def and class, and of
+    every public method of a public class, named ``Class.method``."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
     out = []
     for path in LIBLAB:
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not node.name.startswith("_"):
-                    out.append((node.name, path, node.lineno))
+            if not _public(node, functions + (ast.ClassDef,)):
+                continue
+            out.append((node.name, path, node.lineno))
+            if isinstance(node, ast.ClassDef):
+                out.extend(
+                    ("%s.%s" % (node.name, m.name), path, m.lineno)
+                    for m in node.body
+                    if _public(m, functions)
+                )
     return out
 
 
 def unreached(definitions, program):
-    """Names of ``definitions`` with no word-boundary occurrence in the
-    ``program`` files other than their own definition line."""
+    """Names of ``definitions`` with no occurrence in the ``program`` files
+    other than their own definition line: a word-boundary match of a
+    top-level name, ``.method`` for ``Class.method``."""
     lines = {path: path.read_text().splitlines() for path in program}
     missing = []
     for name, def_path, def_line in definitions:
-        pattern = re.compile(r"\b%s\b" % re.escape(name))
+        if "." in name:
+            pattern = re.compile(r"\.%s\b" % re.escape(name.split(".")[1]))
+        else:
+            pattern = re.compile(r"\b%s\b" % re.escape(name))
         if not any(
             pattern.search(text)
             for path, texts in lines.items()
