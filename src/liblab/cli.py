@@ -141,7 +141,7 @@ def run_chi_orb(cfg):
     for N in cfg["N_list"]:
         family = rmt.build_initial_family(sigma0, N)
         logf, hits, samples = ratefn.chi_orb_mc(
-            sigma, family, N, spec, cfg["samples"], cfg["seed"], n_motions=2
+            sigma, family, spec, cfg["samples"], cfg["seed"], n_motions=2
         )
         rows.append(
             (

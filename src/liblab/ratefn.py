@@ -141,7 +141,7 @@ def neighborhood_member(sigma_prime, sigma, spec: NeighborhoodSpec, gen_ids) -> 
 # chi_orb Monte Carlo
 
 
-def chi_orb_mc(sigma, family, N, spec: NeighborhoodSpec, samples, base_seed, n_motions):
+def chi_orb_mc(sigma, family, spec: NeighborhoodSpec, samples, base_seed, n_motions):
     """Estimate log nu_N({U tuples whose rotated trace lands in O_{m,delta}}).
 
     Returns (log_fraction, hits, samples) where log_fraction is the tagged
@@ -154,7 +154,7 @@ def chi_orb_mc(sigma, family, N, spec: NeighborhoodSpec, samples, base_seed, n_m
     hits = 0
     for s in range(samples):
         rng = rmt.path_rng(base_seed, s)
-        tup = rmt.HaarTuple({i: rmt.sample_haar(N, rng) for i in range(1, n_motions + 1)})
+        tup = rmt.HaarTuple({i: rmt.sample_haar(family.N, rng) for i in range(1, n_motions + 1)})
         emp = EmpiricalTrajectory(family, tup)
         if neighborhood_member(emp, sigma, spec, gen_ids=gen_ids):
             hits += 1

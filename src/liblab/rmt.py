@@ -14,15 +14,21 @@ fixed (per step, motions in index order, real part then imaginary part), so
 identical seeds give bit-identical runs. The initial family's fixed rotations
 draw from ``path_rng(ROTATION_SEED, c)``, one stream per component c >= 1.
 
-Shards: ``map_shards`` runs independent work items (paths, trajectories) in
-children forked from this process, one per allowed CPU, each with one BLAS
-thread, and returns their results in input order, so outputs do not depend
-on the CPU count. Only the results are pickled. Where numpy's OpenBLAS
-exposes no thread-count setter, every shard runs in this process.
+Shards: ``map_shards`` runs independent work items (paths, trajectories) on
+a pool of workers, one per allowed CPU, each with one BLAS thread, and
+returns their results in input order, so outputs do not depend on the CPU
+count. The workers are children forked from this process at the first call
+that needs them, and they serve every later call of this process until it
+exits. The function and the items cross to them pickled, and the results
+cross back pickled, so all of them must pickle; a worker sees the modules as
+they were when it was forked, and a monkeypatch made later does not reach
+it. Where numpy's OpenBLAS exposes no thread-count setter, every shard runs
+in this process.
 """
 
 from __future__ import annotations
 
+import atexit
 import ctypes
 import functools
 import math
@@ -404,19 +410,24 @@ def map_shards(fn, items):
     """``[fn(item) for item in items]``, split over the CPUs this process may
     run on.
 
-    With W = min(allowed CPUs, len(items)) > 1, worker w is a child forked
-    from this process that runs ``items[w::W]`` in order with one BLAS
-    thread: the thread count changes the last bits of large products, and
-    one thread per worker makes the results the same for every W. A child
-    inherits the imported modules, ``fn`` and its items, so only the results
-    cross back, pickled, and only they must pickle. The child sets its
-    thread count through numpy's OpenBLAS (``_blas_threads``). With W = 1,
-    or where no such setter is found, all items run in this process through
-    the same ``_run_shard``, with this process's thread count. Results come
-    back in input order.
+    With W = min(allowed CPUs, len(items)) > 1, worker w of this process's
+    pool (``_Worker``) runs ``items[w::W]`` in order with one BLAS thread:
+    the thread count changes the last bits of large products, and one thread
+    per worker makes the results the same for every W. ``fn`` and the items
+    cross to the worker pickled and the results cross back pickled, so all
+    of them must pickle. The workers are forked at the first call that needs
+    them and serve every later call, so they see the modules as they were
+    when they were forked: a monkeypatch, or a function defined in
+    ``__main__``, made after that does not reach them. Each worker sets its
+    thread count once, through numpy's OpenBLAS (``_blas_threads``). With
+    W = 1, or where no such setter is found, all items run in this process
+    through the same ``_run_shard``, with this process's thread count.
+    Results come back in input order.
 
-    If any call raises, ShardError names the first such item in input order;
-    every child has exited and been reaped when this returns or raises.
+    If any call raises, ShardError names the first such item in input order,
+    and the workers live on. If a worker dies, or this call is left by any
+    other exception or an interrupt, every worker is killed and reaped before
+    it raises, and the next call forks a fresh pool.
     """
     items = list(items)
     threads = _blas_threads()
@@ -424,7 +435,7 @@ def map_shards(fn, items):
     if W == 1:
         outcomes = [_run_shard(fn, items)]
     else:
-        outcomes = _run_workers(fn, [items[w::W] for w in range(W)], threads[0])
+        outcomes = _call_pool(fn, [items[w::W] for w in range(W)], threads[0])
     failed = [
         (w + W * len(results), failure)
         for w, (results, failure) in enumerate(outcomes)
@@ -451,8 +462,37 @@ def _run_shard(fn, items):
     return results, None
 
 
-def _run_workers(fn, shards, set_threads):
-    """The outcomes of ``_run_shard(fn, shard)``, one forked child per shard.
+_POOL = []  # this process's workers, in the order they were forked
+
+
+def _call_pool(fn, shards, set_threads):
+    """The outcomes of ``_run_shard(fn, shard)``, shard w on worker w of the
+    pool, which first grows to ``len(shards)`` workers. The requests all go
+    out before the first reply is read, so the workers run side by side."""
+    try:
+        requests = [pickle.dumps((fn, shard)) for shard in shards]
+        while len(_POOL) < len(shards):
+            _POOL.append(_Worker(set_threads))
+        for worker, request, shard in zip(_POOL, requests, shards):
+            try:
+                _send(worker.requests, request)
+            except BrokenPipeError:
+                raise worker.died(shard) from None
+        outcomes = []
+        for worker, shard in zip(_POOL, shards):
+            reply = _receive(worker.replies)
+            if reply is None:
+                raise worker.died(shard)
+            outcomes.append(pickle.loads(reply))
+        return outcomes
+    except BaseException:  # a request or reply may be half sent: start afresh
+        _close_pool(kill=True)
+        raise
+
+
+class _Worker:
+    """A child forked from this process that runs one ``_run_shard`` per
+    request until its request pipe ends.
 
     The fork is safe although OpenBLAS's thread pool runs in this process:
     OpenBLAS registers a ``pthread_atfork`` handler that shuts the pool down
@@ -461,58 +501,119 @@ def _run_workers(fn, shards, set_threads):
     and later warn on a fork in a process with threads; that warning is
     silenced at the fork call only.
 
-    A child writes the pickled outcome to its pipe and leaves by
-    ``os._exit``, so it runs none of this process's ``finally`` blocks,
-    ``atexit`` handlers or buffered output. The pipes are read in shard
-    order and each child is reaped after its pipe; when this leaves early,
-    the children not yet reaped are killed and reaped.
+    ``requests`` is the write end of the request pipe and ``replies`` a
+    reader on the reply pipe; each message is one frame (``_send``).
     """
-    pids, reads, reaped = [], [], set()
-    try:
-        for shard in shards:
-            read, write = os.pipe()
-            reads.append(read)
-            try:
-                with warnings.catch_warnings():
-                    warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
-                    pid = os.fork()
-                if pid == 0:
-                    _shard_child(fn, shard, write, set_threads)
-            finally:
-                os.close(write)
-            pids.append(pid)
-        outcomes = []
-        for pid, read, shard in zip(pids, reads, shards):
-            with open(read, "rb", closefd=False) as pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            reaped.add(pid)
-            if code != 0 or not data:
-                raise ShardError(
-                    "worker for %d items from %r exited with code %d" % (len(shard), shard[0], code)
-                )
-            outcomes.append(pickle.loads(data))
-        return outcomes
-    finally:
-        for read in reads:
-            os.close(read)
-        for pid in pids:
-            if pid not in reaped:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+
+    def __init__(self, set_threads):
+        request_read, request_write = os.pipe()
+        reply_read, reply_write = os.pipe()
+        try:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "This process .* is multi-threaded", DeprecationWarning)
+                pid = os.fork()
+        except BaseException:
+            for fd in (request_read, request_write, reply_read, reply_write):
+                os.close(fd)
+            raise
+        if pid == 0:
+            os.close(request_write)
+            os.close(reply_read)
+            _serve(request_read, reply_write, set_threads)
+        os.close(request_read)
+        os.close(reply_write)
+        self.pid, self.code = pid, None
+        self.requests = request_write
+        self.replies = open(reply_read, "rb")
+
+    def reap(self, kill=False):
+        """The exit code, once the worker has exited and been reaped; with
+        ``kill``, a worker not yet reaped is sent SIGKILL first."""
+        if self.code is None:
+            if kill:
+                os.kill(self.pid, signal.SIGKILL)
+            self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.code
+
+    def died(self, shard):
+        """The ShardError for a worker that exited while given ``shard``."""
+        return ShardError(
+            "worker for %d items from %r exited with code %d" % (len(shard), shard[0], self.reap())
+        )
+
+    def close(self):
+        """This process's ends of the worker's pipes."""
+        os.close(self.requests)
+        self.replies.close()
 
 
-def _shard_child(fn, shard, write, set_threads):
-    """A forked child's main: one BLAS thread, then the outcome of
-    ``_run_shard`` pickled to the pipe end ``write``. Never returns."""
+def _serve(requests, replies, set_threads):
+    """A worker's main: one BLAS thread, then, for each pickled (fn, shard)
+    read from the pipe end ``requests``, the pickled outcome of
+    ``_run_shard`` written to the pipe end ``replies``. At the end of
+    ``requests`` it leaves by ``os._exit(0)``, so it runs none of this
+    process's ``finally`` blocks, ``atexit`` handlers or buffered output. It
+    ignores SIGINT, so that an interrupt between calls leaves the pool
+    whole; an interrupt during a call reaches it as the caller's SIGKILL.
+    Never returns."""
     code = 1
     try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
         set_threads(1)
-        with open(write, "wb", closefd=False) as pipe:
-            pipe.write(pickle.dumps(_run_shard(fn, shard)))
+        with open(requests, "rb") as pipe:
+            while (request := _receive(pipe)) is not None:
+                _send(replies, pickle.dumps(_run_shard(*pickle.loads(request))))
         code = 0
-    except BaseException:  # interrupts too: the parent reports the exit code
+    except BaseException:  # the caller reports the exit code
         traceback.print_exc()
         sys.stderr.flush()
     finally:
         os._exit(code)
+
+
+def _send(fd, data):
+    """Write one frame, the length of ``data`` in 8 bytes and then
+    ``data``, to the pipe end ``fd``."""
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(pipe):
+    """The next frame's data from the buffered reader ``pipe``, or None where
+    the pipe ends before a whole frame."""
+    head = pipe.read(8)
+    if len(head) == 8:
+        size = int.from_bytes(head, "little")
+        data = pipe.read(size)
+        if len(data) == size:
+            return data
+    return None
+
+
+def _close_pool(kill=False):
+    """Close this process's end of every worker's pipes, so that an idle
+    worker reads the end of its requests and leaves, and reap every worker;
+    with ``kill``, SIGKILL each one first. The next call that needs workers
+    forks a fresh pool."""
+    workers = _POOL[:]
+    _POOL.clear()
+    for worker in workers:
+        worker.close()
+    for worker in workers:
+        worker.reap(kill)
+
+
+def _forget_pool():
+    """In a child forked from this process, a worker or any other: close the
+    inherited ends of this process's worker pipes, so that a worker still
+    sees their end when this process closes them, and drop the pool without
+    using or reaping it."""
+    for worker in _POOL:
+        worker.close()
+    _POOL.clear()
+
+
+atexit.register(_close_pool)
+if hasattr(os, "register_at_fork"):  # absent where there is no fork
+    os.register_at_fork(after_in_child=_forget_pool)

@@ -250,7 +250,7 @@ def test_criterion_11_orbital_entropy_hits():
     for N in (8, 16, 32, 64):
         family = rmt.build_initial_family(sigma0, N, strict=False)
         _logf, hits, samples = ratefn.chi_orb_mc(
-            sigma, family, N, spec, 500, base_seed=1100, n_motions=2
+            sigma, family, spec, 500, base_seed=1100, n_motions=2
         )
         fractions.append(hits / samples)
     monotone = all(a <= b for a, b in zip(fractions, fractions[1:]))

@@ -141,9 +141,10 @@ class TestPickle:
         assert [table[w] for got in returned for w in got] == list(range(len(words)))
         for got, shard in zip(returned, shards):
             assert all(w in got for w in shard)
-        # words built in a worker are found here too; forked workers share
-        # this process's string-hash seed, so rehashing on receipt is checked
-        # by test_round_trip_across_hash_seeds
+        # words cross into the workers pickled as well as back, and words
+        # built in a worker are found here too; forked workers share this
+        # process's string-hash seed, so rehashing on receipt is checked by
+        # test_round_trip_across_hash_seeds
         built = rmt.map_shards(parse_word, [format_word(w) for w in words])
         assert [table[w] for w in built] == list(range(len(words)))
 

@@ -197,14 +197,14 @@ class TestChiOrb:
 
     def test_deterministic(self):
         spec = NeighborhoodSpec(2, 0.2)
-        r1 = chi_orb_mc(self.sigma, self.family, 16, spec, 20, base_seed=3, n_motions=2)
-        r2 = chi_orb_mc(self.sigma, self.family, 16, spec, 20, base_seed=3, n_motions=2)
+        r1 = chi_orb_mc(self.sigma, self.family, spec, 20, base_seed=3, n_motions=2)
+        r2 = chi_orb_mc(self.sigma, self.family, spec, 20, base_seed=3, n_motions=2)
         assert r1 == r2
 
     def test_huge_delta_all_hits(self):
         spec = NeighborhoodSpec(2, 10.0)
         logf, hits, samples = chi_orb_mc(
-            self.sigma, self.family, 16, spec, 10, base_seed=0, n_motions=2
+            self.sigma, self.family, spec, 10, base_seed=0, n_motions=2
         )
         assert (hits, samples) == (10, 10)
         assert logf == 0.0
@@ -215,7 +215,7 @@ class TestChiOrb:
 
         spec = NeighborhoodSpec(1, 0.01)
         logf, hits, samples = chi_orb_mc(
-            impossible, self.family, 16, spec, 10, base_seed=0, n_motions=2
+            impossible, self.family, spec, 10, base_seed=0, n_motions=2
         )
         assert hits == 0
         assert logf == NEG_INF
@@ -224,14 +224,19 @@ class TestChiOrb:
     def test_log_matches_fraction(self):
         spec = NeighborhoodSpec(2, 0.15)
         logf, hits, samples = chi_orb_mc(
-            self.sigma, self.family, 16, spec, 40, base_seed=1, n_motions=2
+            self.sigma, self.family, spec, 40, base_seed=1, n_motions=2
         )
         if hits:
             assert logf == pytest.approx(math.log(hits / samples))
 
+    def test_size_is_the_family_size(self):
+        # the Haar draws take N from the family, so no separate N can disagree
+        small = rmt.build_initial_family(two_projections(), 4)
+        assert chi_orb_mc(self.sigma, small, NeighborhoodSpec(2, 10.0), 5, 0, n_motions=2)[1:] == (5, 5)
+
     def test_sample_validation(self):
         with pytest.raises(ValueError):
-            chi_orb_mc(self.sigma, self.family, 16, NeighborhoodSpec(1, 0.1), 0, 0, n_motions=2)
+            chi_orb_mc(self.sigma, self.family, NeighborhoodSpec(1, 0.1), 0, 0, n_motions=2)
 
 
 class TestRateIntegrand:

@@ -3,6 +3,9 @@ word traces."""
 
 import math
 import os
+import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from fractions import Fraction as F
@@ -494,6 +497,24 @@ needs_blas_setter = pytest.mark.skipif(
 )
 
 
+def _worker_pid(_item):
+    return os.getpid()
+
+
+def _pid_and_blas_threads(_item):
+    return os.getpid(), rmt._blas_threads()[1]()
+
+
+def _no_zombie():
+    # the pool's workers live between calls, and none has exited unreaped
+    assert os.waitpid(-1, os.WNOHANG) == (0, 0)
+
+
+def _no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 class TestShards:
     def test_results_in_input_order(self):
         items = ["%d/7" % k for k in range(11)]
@@ -501,14 +522,17 @@ class TestShards:
         assert rmt.map_shards(F, []) == []
         assert rmt.map_shards(F, ["1/2"]) == [F(1, 2)]
 
-    def test_failure_names_first_failing_item(self):
+    @needs_blas_setter
+    def test_failure_names_first_failing_item(self, monkeypatch):
+        monkeypatch.setattr(rmt, "_allowed_cpus", lambda: 2)
         # on two workers, worker 1 (items 1, 3, 5) stops at "1/0"; "x" never runs
         with pytest.raises(ShardError) as info:
             rmt.map_shards(F, ["1", "2", "3", "1/0", "5", "x"])
         assert str(info.value).startswith("'1/0' failed: ZeroDivisionError")
         assert "Traceback" in info.value.traceback
-        with pytest.raises(ChildProcessError):  # every worker was reaped
-            os.waitpid(-1, os.WNOHANG)
+        _no_zombie()
+        rmt._close_pool()
+        _no_child()  # every worker was reaped
 
     @needs_blas_setter
     def test_workers_run_one_blas_thread(self, monkeypatch):
@@ -517,8 +541,7 @@ class TestShards:
         before = get_threads()
         set_threads(2)  # so that one thread in a worker is its own setting
         try:
-            # a lambda: only results cross back from a forked worker
-            got = rmt.map_shards(lambda _: (os.getpid(), get_threads()), range(2))
+            got = rmt.map_shards(_pid_and_blas_threads, range(2))
             assert get_threads() == 2
         finally:
             set_threads(before)
@@ -534,22 +557,18 @@ class TestShards:
         assert rmt.map_shards(lambda _: os.getpid(), range(3)) == [os.getpid()] * 3
 
     @needs_blas_setter
-    def test_no_worker_outlives_a_call(self, monkeypatch):
+    def test_no_worker_is_left_unreaped(self, monkeypatch):
         monkeypatch.setattr(rmt, "_allowed_cpus", lambda: 3)
-
-        def no_children():
-            with pytest.raises(ChildProcessError):
-                os.waitpid(-1, os.WNOHANG)
-
         assert rmt.map_shards(F, ["1", "2", "3"]) == [1, 2, 3]
-        no_children()
+        _no_zombie()
         with pytest.raises(ShardError, match="'1/0' failed"):
             rmt.map_shards(F, ["1", "1/0", "3"])
-        no_children()
+        _no_zombie()
         with pytest.raises(ShardError, match="exited with code 3"):
             rmt.map_shards(os._exit, [3, 3, 3])  # a worker that dies
-        no_children()
+        _no_child()
 
+        # a fork that fails while a closed pool grows
         fork, forked = os.fork, []
 
         def fork_once():
@@ -563,7 +582,81 @@ class TestShards:
         with pytest.raises(OSError, match="no second fork"):
             rmt.map_shards(time.sleep, [60, 0, 0])
         assert time.monotonic() - start < 30  # the first worker was killed
-        no_children()
+        assert len(forked) == 1 and rmt._POOL == []
+        _no_child()
+
+    @needs_blas_setter
+    def test_consecutive_calls_share_workers(self, monkeypatch):
+        monkeypatch.setattr(rmt, "_allowed_cpus", lambda: 2)
+        first = rmt.map_shards(_worker_pid, range(2))
+        assert rmt.map_shards(_worker_pid, range(2)) == first
+        assert len(set(first) | {os.getpid()}) == 3
+        _no_zombie()
+
+    @needs_blas_setter
+    def test_failing_item_keeps_workers(self, monkeypatch):
+        monkeypatch.setattr(rmt, "_allowed_cpus", lambda: 2)
+        pids = rmt.map_shards(_worker_pid, range(2))
+        with pytest.raises(ShardError, match="'1/0' failed"):
+            rmt.map_shards(F, ["1", "1/0"])
+        assert rmt.map_shards(_worker_pid, range(2)) == pids
+        _no_zombie()
+
+    @needs_blas_setter
+    def test_dead_worker_drops_the_pool(self, monkeypatch):
+        monkeypatch.setattr(rmt, "_allowed_cpus", lambda: 3)
+        pids = rmt.map_shards(_worker_pid, range(3))
+        with pytest.raises(ShardError, match="exited with code 3"):
+            rmt.map_shards(os._exit, [3, 0, 0])
+        _no_child()  # the dead worker and the two live ones were reaped
+        assert not set(rmt.map_shards(_worker_pid, range(3))) & set(pids)
+
+    @needs_blas_setter
+    def test_forked_process_leaves_the_pool_alone(self, monkeypatch):
+        monkeypatch.setattr(rmt, "_allowed_cpus", lambda: 2)
+        pids = rmt.map_shards(_worker_pid, range(2))
+        child = os.fork()
+        if child == 0:  # a fork of the owner forks workers of its own
+            code = 1
+            try:
+                own = rmt.map_shards(_worker_pid, range(2))
+                rmt._close_pool()
+                code = 0 if not set(own) & set(pids) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (status := os.waitpid(child, os.WNOHANG)) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(child, signal.SIGKILL)
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
+        assert rmt.map_shards(_worker_pid, range(2)) == pids
+        _no_zombie()
+
+    @needs_blas_setter
+    def test_workers_leave_with_their_process(self):
+        script = (
+            "import os\n"
+            "from liblab import rmt\n"
+            "def pid(_):\n"
+            "    return os.getpid()\n"
+            "rmt._allowed_cpus = lambda: 2\n"
+            "print(*rmt.map_shards(pid, range(2)))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=120
+        ).stdout
+        pids = [int(p) for p in out.split()]
+        assert len(pids) == 2
+        deadline = time.monotonic() + 30
+        for pid in pids:
+            while True:
+                try:
+                    os.kill(pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "worker %d outlived its process" % pid
+                time.sleep(0.05)
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_path_ranges_join_in_path_order(self, cpus, monkeypatch):
