@@ -3,7 +3,7 @@
 Subpackages/modules:
 
 - ``ncalg``     symbolic noncommutative word/polynomial algebra with the
-  liberation derivation, its cyclic version, and the ``Pi^s`` substitution
+  cyclic liberation derivative and the ``Pi^s`` substitution
 - ``ncpart``    the first-block moment/cumulant recursion, non-crossing
   partitions and the Kreweras complement
 - ``freestate`` finitely atomic initial laws and the exact large-N trace

@@ -6,9 +6,8 @@ derivation are decidable. Coefficients are complex floats.
 
 Coefficients are collected in one place: ``_collect`` adds the coefficients
 of equal words (or word pairs) and drops a zero sum, and every polynomial is
-built through it. The liberation derivation lists its raw terms in one pass
-and collects them once; the cyclic derivative collects theta of the same raw
-terms.
+built through it. The cyclic derivative lists the raw terms of the liberation
+derivation in one pass and collects theta of them once.
 
 Text forms: ``X[i,j;t]``, ``V[i;t]``, ``V*[i;t]``; juxtaposition for products,
 ``+`` between terms.
@@ -284,30 +283,6 @@ class NCPolynomial:
         return format_polynomial(self)
 
 
-class TensorPolynomial:
-    """Finite map (Word, Word) -> coefficient; target of the derivation.
-
-    Built like ``NCPolynomial``, from a mapping or from (pair, coefficient)
-    pairs.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        pairs = ((pair, complex(c)) for pair, c in _pairs(terms))
-        object.__setattr__(self, "terms", _collect(pairs))
-
-    def __setattr__(self, *_):
-        raise AttributeError("TensorPolynomial is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, TensorPolynomial) and self.terms == other.terms
-
-    def __add__(self, other):
-        return TensorPolynomial(itertools.chain(self.terms.items(), other.terms.items()))
-
-
-
 def _derivation_terms(p: NCPolynomial, k: int, s):
     """Raw terms (a, b, c) of delta_s^(k) p, the tensor legs as letter tuples.
 
@@ -327,11 +302,6 @@ def _derivation_terms(p: NCPolynomial, k: int, s):
             prefix, suffix = letters[:idx], letters[idx + 1 :]
             yield prefix + (sym, v), (vstar,) + suffix, coeff
             yield prefix + (v,), (vstar, sym) + suffix, -coeff
-
-
-def liberation_derivation(p: NCPolynomial, k: int, s) -> TensorPolynomial:
-    """delta_s^(k), extended to polynomials by linearity and Leibniz."""
-    return TensorPolynomial(((Word(a), Word(b)), c) for a, b, c in _derivation_terms(p, k, s))
 
 
 def cyclic_derivative(p: NCPolynomial, k: int, s) -> NCPolynomial:
@@ -418,33 +388,3 @@ def format_polynomial(p: NCPolynomial) -> str:
         else:
             parts.append("%s*%s" % (_format_coeff(c), w))
     return " + ".join(parts)
-
-
-def parse_polynomial(text: str) -> NCPolynomial:
-    return NCPolynomial(_parse_term(raw.strip()) for raw in _split_terms(text) if raw.strip())
-
-
-def _parse_term(raw: str):
-    if "*X[" in raw or "*V" in raw:
-        coeff_txt, word_txt = raw.split("*", 1)
-        return parse_word(word_txt), complex(coeff_txt)
-    if raw.startswith(("X[", "V[", "V*[")):
-        return parse_word(raw), 1.0
-    return EMPTY_WORD, complex(raw)
-
-
-def _split_terms(text: str):
-    # split on '+' at depth 0 (outside brackets/parens)
-    depth = 0
-    cur = []
-    for ch in text:
-        if ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        if ch == "+" and depth == 0:
-            yield "".join(cur)
-            cur = []
-        else:
-            cur.append(ch)
-    yield "".join(cur)

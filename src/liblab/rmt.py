@@ -3,9 +3,13 @@ motion trajectories, Haar sampling, and empirical word traces.
 
 Stepping scheme: U(t+h) = exp(i sqrt(h) H) U(t) with H a self-adjoint
 Gaussian generator normalized so E tr_N H^2 = 1. The exponential is
-``_kernels.expi``, a Taylor polynomial in the skew-Hermitian i sqrt(h) H of
-the least degree whose remainder bound is at most 2^-53, so every iterate is
-unitary to rounding. It is evaluated one path at a time.
+``_kernels.expi``, Sastre's degree-15+ formula in the skew-Hermitian
+X = i sqrt(h) H: a degree-16 polynomial, equal to the Taylor series through
+degree 15, from 4 matrix products. Its error is at most 2^-53 while the
+bound b = ||X^2||_1^(1/2) (or ||X^4||_1^(1/4), formed only when the first
+exceeds theta) is at most theta = 0.699; past that, X is halved and the
+result squared. So every iterate is unitary to rounding. It is evaluated one
+path at a time.
 
 Seeding: every random draw in the package comes from ``path_rng(seed, path)``,
 a generator seeded by the NumPy ``SeedSequence([seed, path])``, so distinct
@@ -358,17 +362,23 @@ def finite_n_moment_ode_check(n_max, T, N, paths, h=None, base_seed=0, sample_ti
 def _power_traces(N, h, base_seed, T, sample_times, n_max, paths):
     """Per-path tr_N U(t)^n, n = 1..n_max, of the paths in the range
     ``paths`` of one motion: a list of (t, (n_max, len(paths)) array), one
-    entry per time of ``sample_times`` that the steps to T reach."""
+    entry per time of ``sample_times`` that the steps to T reach.
+
+    Only the powers up to U^ceil(n_max/2) are formed: tr U^n is the trace of
+    the product U^a U^b with a = ceil(n/2), b = n - a, taken without forming
+    that product (tr U for n = 1)."""
     engine = BatchedUBM(N, 1, h, len(paths), base_seed, first_path=paths.start)
     found = []
 
     def grab(t, U):
-        M = U[1]
+        powers = [None, U[1]]
+        while len(powers) <= (n_max + 1) // 2:
+            powers.append(powers[-1] @ U[1])
         traces = np.empty((n_max, len(paths)))
-        for n in range(n_max):
-            if n:
-                M = M @ U[1]
-            traces[n] = np.trace(M, axis1=-2, axis2=-1).real / N
+        traces[0] = np.trace(U[1], axis1=-2, axis2=-1).real / N
+        for n in range(2, n_max + 1):
+            a, b = powers[(n + 1) // 2], powers[n // 2]
+            traces[n - 1] = np.einsum("pij,pji->p", a, b).real / N
         found.append((t, traces))
 
     engine.run_until(T, snapshot_times=sample_times, callback=grab)

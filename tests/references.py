@@ -1,11 +1,23 @@
 """Independent references that tests compare the library against."""
 
+import itertools
+import math
 from fractions import Fraction
 
 from liblab import _kernels
 from liblab.errors import NonXPolynomial
 from liblab.freestate import FreeProductState, InitialLaw
-from liblab.ncalg import NCPolynomial, Vs, VsStar, Word
+from liblab.ncalg import (
+    EMPTY_WORD,
+    NCPolynomial,
+    Vs,
+    VsStar,
+    Word,
+    _collect,
+    _derivation_terms,
+    _pairs,
+    parse_word,
+)
 from liblab.ncpart import enumerate_nc, first_block_splits
 
 
@@ -15,6 +27,21 @@ def gaussian_generator(N, rng):
     A = rng.standard_normal((N, N))
     B = rng.standard_normal((N, N))
     return _kernels.assemble_gue(A, B)
+
+
+def scheme_first_moment(N, h):
+    """phi_N(h) = E tr_N exp(i sqrt(h) H) for the stepper's GUE H, the
+    GUE moment generating function (Haagerup & Thorbjornsen 2003):
+
+        phi_N(h) = e^{-h/(2N)} L^(1)_{N-1}(h/N) / N,
+        L^(1)_{N-1}(x) = sum_{k<N} (-x)^k/k! C(N, k+1),
+
+    the Laguerre sum taken in exact rationals. By unitary invariance one step
+    has E exp(i sqrt(h) H) = phi_N(h) I, so E tr_N U(kh) = phi_N(h)^k.
+    """
+    x = Fraction(h) / N
+    laguerre = sum((-x) ** k / math.factorial(k) * math.comb(N, k + 1) for k in range(N))
+    return math.exp(-float(h) / (2 * N)) * float(laguerre) / N
 
 
 def cyclic_derivative_commutator_form(word, k, s):
@@ -101,3 +128,64 @@ class TupleLetterMoment:
     def _note(self, a, b):
         if {type(a), type(b)} == {Fraction, float}:
             self.mixed = True
+
+
+class TensorPolynomial:
+    """Finite map (Word, Word) -> coefficient; target of the liberation
+    derivation.
+
+    Built like ``NCPolynomial``, from a mapping or from (pair, coefficient)
+    pairs.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=()):
+        pairs = ((pair, complex(c)) for pair, c in _pairs(terms))
+        object.__setattr__(self, "terms", _collect(pairs))
+
+    def __setattr__(self, *_):
+        raise AttributeError("TensorPolynomial is immutable")
+
+    def __eq__(self, other):
+        return isinstance(other, TensorPolynomial) and self.terms == other.terms
+
+    def __add__(self, other):
+        return TensorPolynomial(itertools.chain(self.terms.items(), other.terms.items()))
+
+
+def liberation_derivation(p, k, s):
+    """delta_s^(k), extended to polynomials by linearity and Leibniz: the raw
+    terms of ``ncalg.cyclic_derivative`` kept as tensors, not rotated."""
+    return TensorPolynomial(((Word(a), Word(b)), c) for a, b, c in _derivation_terms(p, k, s))
+
+
+def parse_polynomial(text):
+    """The inverse of ``ncalg.format_polynomial``."""
+    return NCPolynomial(_parse_term(raw.strip()) for raw in _split_terms(text) if raw.strip())
+
+
+def _parse_term(raw):
+    if "*X[" in raw or "*V" in raw:
+        coeff_txt, word_txt = raw.split("*", 1)
+        return parse_word(word_txt), complex(coeff_txt)
+    if raw.startswith(("X[", "V[", "V*[")):
+        return parse_word(raw), 1.0
+    return EMPTY_WORD, complex(raw)
+
+
+def _split_terms(text):
+    # split on '+' at depth 0 (outside brackets/parens)
+    depth = 0
+    cur = []
+    for ch in text:
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        if ch == "+" and depth == 0:
+            yield "".join(cur)
+            cur = []
+        else:
+            cur.append(ch)
+    yield "".join(cur)

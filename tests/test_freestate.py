@@ -24,7 +24,7 @@ from liblab.freestate import (
     lemma51_bound_check,
 )
 from liblab.ncalg import EMPTY_WORD, NCPolynomial, Vs, VsStar, Word, Xs, format_word
-from references import TupleLetterMoment, free_product_moment
+from references import TupleLetterMoment, free_product_moment, liberation_derivation
 
 
 def closed_form_moment(n, t):
@@ -577,7 +577,7 @@ class TestErrors:
     def test_derivation_guard_from_algebra(self):
         p = NCPolynomial.from_word(Word((Vs(1, 1),)))
         with pytest.raises(NonXPolynomial):
-            ncalg.liberation_derivation(p, 1, 0)
+            liberation_derivation(p, 1, 0)
 
     def test_overflow_names_user_word_length(self):
         # 14 liberated letters expand to 42 engine letters (u x u* each)

@@ -14,7 +14,6 @@ from liblab.errors import NonXPolynomial
 from liblab.ncalg import (
     EMPTY_WORD,
     NCPolynomial,
-    TensorPolynomial,
     Vs,
     VsStar,
     Word,
@@ -22,12 +21,15 @@ from liblab.ncalg import (
     cyclic_derivative,
     format_polynomial,
     format_word,
-    liberation_derivation,
-    parse_polynomial,
     parse_word,
     pi_s_substitution,
 )
-from references import cyclic_derivative_commutator_form
+from references import (
+    TensorPolynomial,
+    cyclic_derivative_commutator_form,
+    liberation_derivation,
+    parse_polynomial,
+)
 
 
 def rand_x_word(rng, max_len=5, rows=3):

@@ -19,7 +19,7 @@ from liblab.errors import GridMiss, IncompatibleN, ShardError
 from liblab.freestate import AtomicComponent, InitialLaw, LiberationState, MarginalLaw
 from liblab.ncalg import EMPTY_WORD, Vs, VsStar, Word, Xs
 from liblab.ratefn import EmpiricalTrajectory, trajectory_metric_d
-from references import gaussian_generator
+from references import gaussian_generator, scheme_first_moment
 
 
 class TestInitialFamily:
@@ -100,7 +100,7 @@ class TestGaussianGenerator:
 
 
 class TestExpi:
-    # h = 1 and h = 16 put ||sqrt(h) H||_2 above 1 (for N >= 2), so the
+    # h = 1 and h = 16 put the norm bound above theta (for N >= 2), so the
     # halving-and-squaring branch runs there.
     @pytest.mark.parametrize("h", [F(1, 200), F(1, 20), F(1), F(16)])
     @pytest.mark.parametrize("N", [1, 2, 8, 64])
@@ -113,10 +113,87 @@ class TestExpi:
         assert np.max(np.abs(E - expm(1j * s * H))) <= 1e-13
         assert np.linalg.norm(E.conj().T @ E - np.eye(N), ord=2) <= 1e-13
 
+    # At N = 128 the bound ||X^2||_1^(1/2) is 0.51 at h = 1/50 (4 products);
+    # at h = 1/20 it is 0.80 and ||X^4||_1^(1/4) is 0.57 (5 products); at
+    # h = 1 and h = 16, ||X^4||_1^(1/4) = 2.57 and 10.3 need q = 2 and q = 4.
+    @pytest.mark.parametrize("h, products", [(F(1, 50), 4), (F(1, 20), 5), (F(1), 7), (F(16), 9)])
+    def test_product_count(self, h, products, monkeypatch):
+        class CountingNumpy:
+            count = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def matmul(self, a, b, out=None):
+                self.count += a.dtype == np.complex128  # not the real combinations
+                return np.matmul(a, b, out=out)
+
+        counting = CountingNumpy()
+        monkeypatch.setattr(_kernels, "np", counting)
+        H = gaussian_generator(128, rmt.path_rng(3, 10 * 128 + 4))
+        _kernels.expi(H, math.sqrt(h))
+        assert counting.count == products
+
     @pytest.mark.parametrize("s", [0.0, 0.1, 3.0])
     def test_zero_generator_is_identity(self, s):
         E = _kernels.expi(np.zeros((8, 8), dtype=np.complex128), s)
         assert np.array_equal(E, np.eye(8))
+
+
+def _sastre_coefficients():
+    """p_0 .. p_16 of Sastre's E as a polynomial in X, expanded in exact
+    rationals from the module's double constants c1 .. c14."""
+    c = [None] + [F(x) for x in _kernels._C]
+
+    def mul(a, b):
+        out = [F(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def lin(*terms):  # sum of coefficient * polynomial
+        out = [F(0)] * max(len(p) for _, p in terms)
+        for k, p in terms:
+            for i, x in enumerate(p):
+                out[i] += k * x
+        return out
+
+    I, X, X2 = [F(1)], [F(0), F(1)], [F(0), F(0), F(1)]
+    y0 = mul(X2, lin((c[1], X2), (c[2], X)))
+    y1 = lin(
+        (1, mul(lin((1, y0), (c[3], X2), (c[4], X)), lin((1, y0), (c[5], X2)))),
+        (c[6], y0),
+        (c[7], X2),
+    )
+    product = mul(lin((1, y1), (c[8], X2), (c[9], X)), lin((1, y1), (c[10], y0), (c[11], X)))
+    return lin((1, product), (c[12], y1), (c[13], y0), (c[14], X2), (1, X), (1, I))
+
+
+def _sastre_error_bound(p, theta):
+    """sum_k |p_k - 1/k!| theta^k + sum_{k >= 17} theta^k/k!, the tail
+    bounded above by its first term times 1/(1 - theta/18)."""
+    theta = F(theta)
+    head = sum(abs(pk - F(1, math.factorial(k))) * theta**k for k, pk in enumerate(p))
+    return head + theta**17 / math.factorial(17) / (1 - theta / 18)
+
+
+class TestSastreCertificate:
+    """The constants of ``_kernels.expi`` in exact rationals: Taylor's
+    coefficients through degree 15, and an error of at most 2^-53 up to the
+    module's theta, which is close to the largest such value."""
+
+    def test_taylor_through_degree_15(self):
+        p = _sastre_coefficients()
+        assert len(p) == 17
+        for k in range(16):
+            assert abs(float(p[k] * math.factorial(k) - 1)) <= 2e-16, k
+        assert abs(float(p[16] * math.factorial(16) - 1)) > 0.1  # degree 16 is not Taylor's
+
+    def test_error_bound_at_theta(self):
+        p = _sastre_coefficients()
+        assert _sastre_error_bound(p, _kernels._THETA) <= F(2) ** -53
+        assert _sastre_error_bound(p, 1.02 * _kernels._THETA) > F(2) ** -53
 
 
 def _assemble_reference(A, B):
@@ -126,33 +203,32 @@ def _assemble_reference(A, B):
 
 
 def _expi_reference(H, s):
-    """The Paterson-Stockmeyer exponential with every intermediate allocated
-    afresh: the arithmetic that ``_kernels.expi`` does in its workspace."""
+    """Sastre's exponential with every intermediate allocated afresh: the
+    arithmetic that ``_kernels.expi`` does in its workspace."""
     N = H.shape[-1]
-    P = np.empty((3, N, N), dtype=np.complex128)
-    X, X2, X3 = P
-    np.multiply(H, 1j * s, out=X)
-    np.matmul(X, X, out=X2)
-    X4 = X2 @ X2
 
     def norm1(M):
         return float(np.abs(M).sum(axis=0).max())
 
-    b = min(norm1(X), norm1(X2) ** 0.5, norm1(X4) ** 0.25)
-    q = math.ceil(math.log2(b)) if b > 1.0 else 0
+    def combine(coef, *basis):
+        flat = np.stack(basis).view(np.float64).reshape(len(basis), -1)
+        return (coef @ flat).view(np.complex128).reshape(-1, N, N)
+
+    X = H * (1j * s)
+    X2 = X @ X
+    b = norm1(X2) ** 0.5
+    if b > _kernels._THETA:
+        b = min(b, norm1(X2 @ X2) ** 0.25)
+    q = math.ceil(math.log2(b / _kernels._THETA)) if b > _kernels._THETA else 0
     if q:
-        X *= 2.0**-q
-        X2 *= 4.0**-q
-        X4 *= 16.0**-q
-        b *= 2.0**-q
-    K = next(K for K in _kernels._DEGREES if b ** (K + 1) / math.factorial(K + 1) <= 2.0**-53)
-    np.matmul(X2, X, out=X3)
-    coef = _kernels._BLOCKS[: (K + 1) // 4]
-    blocks = (coef[:, 1:] @ P.reshape(3, -1)).reshape(-1, N, N)
-    blocks.reshape(len(coef), -1)[:, :: N + 1] += coef[:, :1]
-    E = blocks[-1]
-    for block in blocks[-2::-1]:
-        E = block + E @ X4
+        X = X * 2.0**-q
+        X2 = X2 * 4.0**-q
+    y0 = X2 @ combine(_kernels._Y0_FACTOR, X, X2)[0]
+    r, A, B = combine(_kernels._Y1_TERMS, X, X2, y0)
+    P = A @ B
+    C, D, Z = combine(_kernels._E_TERMS, P, X, X2, y0, r)
+    E = C @ D + Z
+    E[np.diag_indices(N)] += 1.0
     for _ in range(q):
         E = E @ E
     return E
@@ -173,7 +249,9 @@ class TestStepperBuffers:
 
     @pytest.mark.parametrize("N", [1, 2, 8, 64, 128])
     def test_expi_workspace_matches_fresh(self, N):
-        # one workspace through every degree and the squaring branch
+        # one workspace through every branch: at N = 64, h = 1/200 the X^2
+        # bound alone is within theta; at N = 128, h = 1/20 only the X^4
+        # bound is; h = 1 and h = 16 halve and square (N >= 2)
         work = _kernels.expi_workspace(N)
         for k, h in enumerate([F(1, 200), F(1, 20), F(1), F(16), F(1, 50)]):
             H = gaussian_generator(N, rmt.path_rng(3, 10 * N + k))
@@ -212,6 +290,34 @@ class TestStepperBuffers:
             tracemalloc.stop()
         extra = peak - eng.U[1].nbytes
         assert extra < 4 * 2**20, "%.1f MiB beyond the U stack" % (extra / 2**20)
+
+
+class TestSchemeFirstMoment:
+    """The stepper against E tr_N U(T) = phi_N(h)^(T/h), the exact first
+    moment of the scheme at finite N and finite h."""
+
+    @pytest.mark.parametrize("h", [F(1, 4), F(1), F(4)])
+    def test_one_dimension(self, h):
+        assert scheme_first_moment(1, h) == pytest.approx(math.exp(-h / 2), rel=1e-15)
+
+    @pytest.mark.parametrize("h", [F(1, 4), F(1), F(4)])
+    @pytest.mark.parametrize("N", [64, 256])
+    def test_large_n_is_the_semicircle_transform(self, N, h):
+        from scipy.special import j1
+
+        bessel = j1(2 * math.sqrt(h)) / math.sqrt(h)
+        assert abs(scheme_first_moment(N, h) - bessel) <= 0.2 / N**2
+
+    def test_stepper_converges_to_the_scheme(self):
+        # at N = 4, h = 1 the scheme's mean sits more than 5 SE from e^{-T/2}
+        N, h, T, paths = 4, F(1), F(2), 2000
+        eng = rmt.BatchedUBM(N, 1, h, paths=paths, base_seed=7)
+        eng.run_until(T)
+        vals = np.trace(eng.U[1], axis1=-2, axis2=-1).real / N
+        mean, se = float(np.mean(vals)), float(np.std(vals, ddof=1) / math.sqrt(paths))
+        exact = scheme_first_moment(N, h) ** int(T / h)
+        assert abs(exact - math.exp(-T / 2)) > 5 * se
+        assert abs(mean - exact) <= 3 * se
 
 
 class TestHaar:

@@ -19,8 +19,8 @@ KEPT = {
     "catalan": "acceptance criterion 06 counts NC(n) against the Catalan numbers",
     "enumerate_nc": "acceptance criterion 06 counts NC(n) against the Catalan numbers",
     "scalar_cumulants": "acceptance criterion 06 round-trips moments and cumulants",
-    "liberation_derivation": "tests check cyclic_derivative against the paper's D_s^(k)",
-    "parse_polynomial": "tests round-trip format_polynomial through it",
+    "parse_word": "the inverse of format_word's text form: tests round-trip words through it "
+    "and build words from text in other processes with it",
     "UnitaryTrajectory.unitarity_defect": "tests bound the stepper's drift from U(N) with it; "
     "a run's numerical-health report is to read it",
 }
