@@ -29,10 +29,10 @@ from . import __version__, ncalg, ratefn, rmt
 from .errors import ConfigError, DomainError, GridMiss, IncompatibleN, LiblabError
 from .freestate import (
     PROP81_LENGTH_CAP,
+    FreeProductState,
     InitialLaw,
     LiberationState,
     MarginalLaw,
-    free_product_limit_state,
     lemma51_bound_check,
 )
 from .ncalg import Word, Xs
@@ -135,13 +135,12 @@ def run_heat_kernel(cfg):
 
 def run_chi_orb(cfg):
     sigma0 = two_free_projections()
-    sigma = free_product_limit_state(sigma0, n_motions=2)
-    spec = ratefn.NeighborhoodSpec(cfg["m"], cfg["delta"])
+    sigma = FreeProductState(sigma0, 2)
     rows = []
     for N in cfg["N_list"]:
         family = rmt.build_initial_family(sigma0, N)
         logf, hits, samples = ratefn.chi_orb_mc(
-            sigma, family, spec, cfg["samples"], cfg["seed"], n_motions=2
+            sigma.moment, family, cfg["m"], cfg["delta"], cfg["samples"], cfg["seed"], n_motions=2
         )
         rows.append(
             (
@@ -192,7 +191,7 @@ def _trajectory_d(seed, grid, m_max, l_max, table, item):
     # the metric reads no time past m_max, so the path stops there
     emp = _empirical_liberation(item.N, seed, grid, m_max, path=item.seed_index)
     return ratefn.trajectory_metric_d(
-        emp, table.__getitem__, m_max, l_max, grid, gen_ids=_METRIC_IDS
+        emp.moment, table.__getitem__, m_max, l_max, grid, gen_ids=_METRIC_IDS
     )
 
 

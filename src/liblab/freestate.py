@@ -32,7 +32,7 @@ import numpy as np
 from . import ncalg
 from .errors import DegreeOverflow, SizeLimit, UnsupportedState, UnsupportedWord
 from .ncalg import NCPolynomial, Vs, VsStar, Word, Xs
-from .ncpart import CumulantFunctional, _nc_cached, kreweras
+from .ncpart import CumulantFunctional, enumerate_nc, kreweras
 
 WORD_LENGTH_CAP = 40
 
@@ -408,7 +408,12 @@ class TraceState:
 class FreeProductState(TraceState):
     """sigma0^fr as a constant trajectory: x_{ij}(t) = x_{ij} for all t, with
     the rows (algebra indices i) freely independent; each row keeps its
-    sigma0 joint law."""
+    sigma0 joint law.
+
+    This is the T -> infinity limit of the liberation process, the free
+    product of the row marginals of sigma0. The rows become freely
+    independent in the limit even when sigma0 correlates them, so the state
+    frees them."""
 
     def _x_letters(self, sym):
         gid = (sym.i, sym.j)
@@ -426,16 +431,6 @@ class LiberationState(TraceState):
             return [xcol]
         ucol = ("u", sym.i)
         return [(ucol, (sym.t, 1)), xcol, (ucol, (sym.t, -1))]
-
-
-def free_product_limit_state(sigma0: InitialLaw, n_motions: int) -> FreeProductState:
-    """sigma0^fr: the T -> infinity limit of the liberation process — the free
-    product of the row marginals of sigma0, viewed as a constant trajectory.
-
-    The rows become freely independent in the limit even when sigma0
-    correlates them; the returned state therefore frees the rows.
-    """
-    return FreeProductState(sigma0, n_motions)
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +476,7 @@ def conditional_expectation_prop81(word: Word, k: int, s, tau: TraceState) -> NC
     sub_letters = [Xs(sym.i, sym.j, min(s, sym.t)) for sym in letters]
 
     terms = []
-    for pi in _nc_cached(n):
+    for pi in enumerate_nc(n):
         kap = cf.kappa_pi(pi, tuple(w_letters))
         if kap == 0:
             continue

@@ -15,8 +15,10 @@ from .errors import SizeLimit
 NC_ENUM_CAP = 14
 
 
-class SetPartition:
-    """A partition of {1..n} stored as disjoint sorted blocks, ordered by minimum."""
+class NonCrossingPartition:
+    """A partition of {1..n} stored as disjoint sorted blocks, ordered by
+    minimum, with no a<b<c<d such that {a,c} and {b,d} split across two
+    blocks."""
 
     __slots__ = ("blocks", "n")
 
@@ -29,11 +31,13 @@ class SetPartition:
             n = len(elems)
         if sorted(elems) != list(range(1, n + 1)):
             raise ValueError("blocks do not cover {1..%d}" % n)
+        if not _is_noncrossing(blocks):
+            raise ValueError("partition is crossing: %r" % (blocks,))
         self.blocks = blocks
         self.n = n
 
     def __eq__(self, other):
-        return isinstance(other, SetPartition) and self.blocks == other.blocks
+        return isinstance(other, NonCrossingPartition) and self.blocks == other.blocks
 
     def __hash__(self):
         return hash(self.blocks)
@@ -43,15 +47,6 @@ class SetPartition:
 
     def __repr__(self):
         return "{" + "|".join(",".join(str(e) for e in b) for b in self.blocks) + "}"
-
-
-class NonCrossingPartition(SetPartition):
-    """A set partition with no a<b<c<d such that {a,c} and {b,d} split across two blocks."""
-
-    def __init__(self, blocks, n=None):
-        super().__init__(blocks, n)
-        if not _is_noncrossing(self.blocks):
-            raise ValueError("partition is crossing: %r" % (self.blocks,))
 
 
 def _is_noncrossing(blocks):
@@ -110,13 +105,10 @@ def iter_nc(n: int):
         yield NonCrossingPartition(blocks, n)
 
 
-def enumerate_nc(n: int):
-    """All non-crossing partitions of {1..n} (Catalan(n) of them)."""
-    return list(iter_nc(n))
-
-
 @lru_cache(maxsize=None)
-def _nc_cached(n: int):
+def enumerate_nc(n: int):
+    """All non-crossing partitions of {1..n} (Catalan(n) of them), as a
+    tuple enumerated once per n."""
     return tuple(iter_nc(n))
 
 

@@ -5,6 +5,10 @@ orbital-entropy Monte Carlo estimator, and the rate integrand
                    - (1/2) sum_k int_0^t || E(Pi^s(D_s^(k) P)) ||_{tau~,2}^2 ds
 
 with the conditional expectation from freestate.conditional_expectation_prop81.
+
+The metric and the neighborhoods read every moment source the same way, as a
+callable word -> moment: a state's or a trajectory's bound ``moment``, or a
+table's ``__getitem__``. The neighborhoods are the open O_{m,delta}.
 """
 
 from __future__ import annotations
@@ -44,12 +48,6 @@ class EmpiricalTrajectory:
         return rmt.evaluate_word_trace(word, self.family, self.resolver, self._letters)
 
 
-def _moment_of(evaluator, word):
-    if hasattr(evaluator, "moment"):
-        return evaluator.moment(word)
-    return evaluator(word)
-
-
 # ---------------------------------------------------------------------------
 # Trajectory metric (truncated)
 
@@ -80,9 +78,10 @@ def trajectory_metric_words(m_max, l_max, grid, gen_ids):
 
 
 def trajectory_metric_d(t1, t2, m_max, l_max, grid, gen_ids) -> float:
-    """Truncated metric: sum over m <= m_max, l <= l_max of 2^{-m-l} times the
-    max over words of length l in the generators ``gen_ids`` with indices
-    <= m and letter times from ``grid`` (restricted to [0, m]) of
+    """Truncated metric between the moment sources ``t1`` and ``t2``
+    (callables word -> moment): sum over m <= m_max, l <= l_max of 2^{-m-l}
+    times the max over words of length l in the generators ``gen_ids`` with
+    indices <= m and letter times from ``grid`` (restricted to [0, m]) of
     min(|Delta moment|, 1).
 
     A word that several levels share is evaluated once per call, on both
@@ -93,7 +92,7 @@ def trajectory_metric_d(t1, t2, m_max, l_max, grid, gen_ids) -> float:
         worst = 0.0
         for w in words:
             if w not in gaps:
-                gaps[w] = min(abs(_moment_of(t1, w) - _moment_of(t2, w)), 1.0)
+                gaps[w] = min(abs(t1(w) - t2(w)), 1.0)
             worst = max(worst, gaps[w])
             if worst >= 1.0:
                 break
@@ -105,35 +104,19 @@ def trajectory_metric_d(t1, t2, m_max, l_max, grid, gen_ids) -> float:
 # Moment neighborhoods
 
 
-class NeighborhoodSpec:
-    __slots__ = ("m", "delta", "closed")
-
-    def __init__(self, m, delta, closed=False):
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        if not delta > 0:
-            raise ValueError("delta must be > 0")
-        self.m = m
-        self.delta = delta
-        self.closed = closed
-
-
-def neighborhood_member(sigma_prime, sigma, spec: NeighborhoodSpec, gen_ids) -> bool:
-    """Membership of sigma' in O_{m,delta}(sigma) (strict) or F_{m,delta}
-    (closed): all time-0 words of length <= m in the generators ``gen_ids``."""
+def neighborhood_member(sigma_prime, sigma, m, delta, gen_ids) -> bool:
+    """Membership of sigma' in the open neighborhood O_{m,delta}(sigma):
+    every time-0 word of length <= m in the generators ``gen_ids`` has
+    |sigma'(w) - sigma(w)| < delta. Both states are callables
+    word -> moment; the first word outside ends the check."""
     words = (
         Word(tuple(Xs(i, j, 0) for i, j in combo))
-        for length in range(1, spec.m + 1)
+        for length in range(1, m + 1)
         for combo in itertools.product(gen_ids, repeat=length)
     )
     for w in words:
-        gap = abs(_moment_of(sigma_prime, w) - _moment_of(sigma, w))
-        if spec.closed:
-            if gap > spec.delta:
-                return False
-        else:
-            if gap >= spec.delta:
-                return False
+        if abs(sigma_prime(w) - sigma(w)) >= delta:
+            return False
     return True
 
 
@@ -141,22 +124,27 @@ def neighborhood_member(sigma_prime, sigma, spec: NeighborhoodSpec, gen_ids) -> 
 # chi_orb Monte Carlo
 
 
-def chi_orb_mc(sigma, family, spec: NeighborhoodSpec, samples, base_seed, n_motions):
-    """Estimate log nu_N({U tuples whose rotated trace lands in O_{m,delta}}).
+def chi_orb_mc(sigma, family, m, delta, samples, base_seed, n_motions):
+    """Estimate log nu_N({U tuples whose rotated trace lands in
+    O_{m,delta}(sigma)}), with ``sigma`` a callable word -> moment.
 
     Returns (log_fraction, hits, samples) where log_fraction is the tagged
     NEG_INF on zero hits. Sample s draws its Haar tuple from
     ``rmt.path_rng(base_seed, s)`` (one stream, motions in index order).
     """
+    if m < 1:
+        raise ValueError("m must be >= 1, got %d" % m)
+    if not delta > 0:
+        raise ValueError("delta must be > 0, got %r" % delta)
     if samples < 1:
-        raise ValueError("samples must be >= 1")
+        raise ValueError("samples must be >= 1, got %d" % samples)
     gen_ids = sorted(family.entries)
     hits = 0
     for s in range(samples):
         rng = rmt.path_rng(base_seed, s)
         tup = rmt.HaarTuple({i: rmt.sample_haar(family.N, rng) for i in range(1, n_motions + 1)})
         emp = EmpiricalTrajectory(family, tup)
-        if neighborhood_member(emp, sigma, spec, gen_ids=gen_ids):
+        if neighborhood_member(emp.moment, sigma, m, delta, gen_ids):
             hits += 1
     log_fraction = NEG_INF if hits == 0 else math.log(hits / samples)
     return log_fraction, hits, samples
@@ -192,7 +180,7 @@ def rate_integrand_eq9(tau, P, ts, s_points=8):
 
     # ||E(Pi^s(D_s^(k) P))||^2 summed over k, at node s in [0, t]. It
     # vanishes for s past the largest word time.
-    max_t = max((w.max_time() for w in P.terms), default=Fraction(0))
+    max_t = P.max_time()
     f = {}  # node s -> integrand, shared by the horizons of this call
 
     def integrand(s):

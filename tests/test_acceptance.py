@@ -21,11 +21,11 @@ from liblab import heatkern, ncpart, ratefn, rmt
 from liblab.cli import projection_test_words, two_free_projections
 from liblab.freestate import (
     AtomicComponent,
+    FreeProductState,
     InitialLaw,
     LiberationState,
     MarginalLaw,
     conditional_expectation_prop81,
-    free_product_limit_state,
     lemma51_bound_check,
 )
 from liblab import ncalg
@@ -221,7 +221,7 @@ def test_criterion_10_convergence_in_metric():
             family_cache[N] = rmt.build_initial_family(sigma0, N, strict=False)
         traj = rmt.simulate_trajectory(N, 2, [t for t in grid if t > 0], F(1, 50), seed)
         emp = ratefn.EmpiricalTrajectory(family_cache[N], traj)
-        return ratefn.trajectory_metric_d(emp, oracle, 2, 3, grid, gen_ids=gen_ids)
+        return ratefn.trajectory_metric_d(emp.moment, oracle.moment, 2, 3, grid, gen_ids=gen_ids)
 
     d16 = np.array([distance(16, 1000 + 7 * s) for s in range(10)])
     d128 = np.array([distance(128, 2000 + 7 * s) for s in range(10)])
@@ -244,13 +244,12 @@ def test_criterion_10_convergence_in_metric():
 
 def test_criterion_11_orbital_entropy_hits():
     sigma0 = two_free_projections()
-    sigma = free_product_limit_state(sigma0, 2)
-    spec = ratefn.NeighborhoodSpec(2, 0.1)
+    sigma = FreeProductState(sigma0, 2)
     fractions = []
     for N in (8, 16, 32, 64):
         family = rmt.build_initial_family(sigma0, N, strict=False)
         _logf, hits, samples = ratefn.chi_orb_mc(
-            sigma, family, spec, 500, base_seed=1100, n_motions=2
+            sigma.moment, family, 2, 0.1, 500, base_seed=1100, n_motions=2
         )
         fractions.append(hits / samples)
     monotone = all(a <= b for a, b in zip(fractions, fractions[1:]))

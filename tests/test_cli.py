@@ -411,7 +411,7 @@ class TestMetricRunner:
                 emp = cli._empirical_liberation(N, seed, grid, m_max, path=s)
                 fresh = LiberationState(cli.two_free_projections(), 2)
                 want = ratefn.trajectory_metric_d(
-                    emp, fresh, m_max, l_max, grid, gen_ids=[(1, 1), (2, 1)]
+                    emp.moment, fresh.moment, m_max, l_max, grid, gen_ids=[(1, 1), (2, 1)]
                 )
                 assert got == want
 

@@ -19,7 +19,6 @@ from liblab.freestate import (
     LiberationState,
     MarginalLaw,
     conditional_expectation_prop81,
-    free_product_limit_state,
     free_ubm_moment,
     lemma51_bound_check,
 )
@@ -129,13 +128,13 @@ class TestFreeProduct:
 
     def test_projection_pqpq(self):
         sigma0 = two_projections()
-        state = free_product_limit_state(sigma0, 2)
+        state = FreeProductState(sigma0, 2)
         w = Word((Xs(1, 1, 0), Xs(2, 1, 0), Xs(1, 1, 0), Xs(2, 1, 0)))
         assert state.moment(w) == F(3, 16)
 
     def test_marginals_preserved(self):
         sigma0 = two_projections(correlated=True)
-        state = free_product_limit_state(sigma0, 2)
+        state = FreeProductState(sigma0, 2)
         for i in (1, 2):
             for k in (1, 2, 3):
                 w = Word((Xs(i, 1, 0),) * k)
@@ -143,13 +142,13 @@ class TestFreeProduct:
 
     def test_limit_state_frees_correlated_rows(self):
         sigma0 = two_projections(correlated=True)
-        state = free_product_limit_state(sigma0, 2)
+        state = FreeProductState(sigma0, 2)
         w = Word((Xs(1, 1, 0), Xs(2, 1, 0)))
         assert state.moment(w) == F(1, 4)  # not sigma0(x y) = 1/2
 
     def test_constant_in_time(self):
         sigma0 = two_projections()
-        state = free_product_limit_state(sigma0, 2)
+        state = FreeProductState(sigma0, 2)
         w0 = Word((Xs(1, 1, 0), Xs(2, 1, 0), Xs(1, 1, 0)))
         w1 = Word((Xs(1, 1, 2), Xs(2, 1, F(1, 2)), Xs(1, 1, 1)))
         assert state.moment(w0) == state.moment(w1)
@@ -234,7 +233,7 @@ class TestLiberationState:
     def test_converges_to_free_product(self):
         sigma0 = two_projections(correlated=True)
         lib = LiberationState(sigma0, 2)
-        fr = free_product_limit_state(sigma0, 2)
+        fr = FreeProductState(sigma0, 2)
         w_at = lambda T: Word(
             (Xs(1, 1, T), Xs(2, 1, T), Xs(1, 1, T), Xs(2, 1, T))
         )
@@ -254,7 +253,7 @@ class TestLiberationState:
     def test_traciality(self):
         rng = random.Random(43)
         sigma0 = two_projections(correlated=True)
-        for state in (LiberationState(sigma0, 2), free_product_limit_state(sigma0, 2)):
+        for state in (LiberationState(sigma0, 2), FreeProductState(sigma0, 2)):
             for _ in range(40):
                 L1, L2 = rng.randint(1, 3), rng.randint(1, 3)
                 mk = lambda L: Word(

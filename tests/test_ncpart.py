@@ -15,7 +15,6 @@ from liblab.ncpart import (
     NC_ENUM_CAP,
     CumulantFunctional,
     NonCrossingPartition,
-    SetPartition,
     catalan,
     enumerate_nc,
     first_block_splits,
@@ -82,7 +81,7 @@ class TestEnumeration:
 
 class TestTextForm:
     def test_explicit_form(self):
-        p = SetPartition([[4, 1], [3, 2]])
+        p = NonCrossingPartition([[4, 1], [3, 2]])
         assert p.blocks == ((1, 4), (2, 3))
         assert repr(p) == "{1,4|2,3}"
 

@@ -4,6 +4,7 @@ the rate integrand."""
 import collections
 import itertools
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -15,14 +16,13 @@ from liblab.freestate import (
     InitialLaw,
     LiberationState,
     MarginalLaw,
+    FreeProductState,
     conditional_expectation_prop81,
-    free_product_limit_state,
 )
 from liblab.ncalg import NCPolynomial, Word, Xs, format_word
 from liblab.ratefn import (
     NEG_INF,
     EmpiricalTrajectory,
-    NeighborhoodSpec,
     chi_orb_mc,
     neighborhood_member,
     rate_integrand_eq9,
@@ -73,7 +73,7 @@ class TestEmpiricalTrajectory:
 class TestMetric:
     def test_self_distance_zero(self):
         tau = LiberationState(two_projections(), 2)
-        d = trajectory_metric_d(tau, tau, 2, 2, [F(0), F(1, 2)], gen_ids=GEN_IDS)
+        d = trajectory_metric_d(tau.moment, tau.moment, 2, 2, [F(0), F(1, 2)], gen_ids=GEN_IDS)
         assert d == 0.0
 
     def test_symmetry(self):
@@ -149,62 +149,48 @@ class TestMetric:
     def test_distinguishes_free_from_liberated(self):
         sigma0 = correlated_projections()
         lib = LiberationState(sigma0, 2)
-        fr = free_product_limit_state(sigma0, 2)
-        d = trajectory_metric_d(lib, fr, 2, 2, [F(1, 2), F(1)], gen_ids=GEN_IDS)
+        fr = FreeProductState(sigma0, 2)
+        d = trajectory_metric_d(lib.moment, fr.moment, 2, 2, [F(1, 2), F(1)], gen_ids=GEN_IDS)
         assert d > 1e-3
 
 
 class TestNeighborhood:
     def test_self_membership(self):
-        sigma = free_product_limit_state(two_projections(), 2)
-        for closed in (False, True):
-            spec = NeighborhoodSpec(2, 0.05, closed=closed)
-            assert neighborhood_member(sigma, sigma, spec, gen_ids=GEN_IDS)
+        sigma = FreeProductState(two_projections(), 2).moment
+        assert neighborhood_member(sigma, sigma, 2, 0.05, GEN_IDS)
 
-    def test_boundary_open_vs_closed(self):
-        sigma = free_product_limit_state(two_projections(), 2)
+    def test_boundary_is_outside(self):
+        # the neighborhood is open: a gap of exactly delta is outside
+        sigma = FreeProductState(two_projections(), 2).moment
         delta = 0.0625  # exactly representable so the boundary gap is exact
 
         def shifted(word):
-            return complex(sigma.moment(word)) + delta
+            return complex(sigma(word)) + delta
 
-        open_spec = NeighborhoodSpec(2, delta, closed=False)
-        closed_spec = NeighborhoodSpec(2, delta, closed=True)
-        assert not neighborhood_member(shifted, sigma, open_spec, gen_ids=GEN_IDS)
-        assert neighborhood_member(shifted, sigma, closed_spec, gen_ids=GEN_IDS)
+        assert not neighborhood_member(shifted, sigma, 2, delta, GEN_IDS)
 
     def test_outside_both(self):
-        sigma = free_product_limit_state(two_projections(), 2)
+        sigma = FreeProductState(two_projections(), 2).moment
 
         def far(word):
-            return complex(sigma.moment(word)) + 1.0
+            return complex(sigma(word)) + 1.0
 
-        for closed in (False, True):
-            spec = NeighborhoodSpec(2, 0.05, closed=closed)
-            assert not neighborhood_member(far, sigma, spec, gen_ids=GEN_IDS)
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            NeighborhoodSpec(0, 0.1)
-        with pytest.raises(ValueError):
-            NeighborhoodSpec(2, 0.0)
+        assert not neighborhood_member(far, sigma, 2, 0.05, GEN_IDS)
 
 
 class TestChiOrb:
     def setup_method(self):
-        self.sigma = free_product_limit_state(two_projections(), 2)
+        self.sigma = FreeProductState(two_projections(), 2).moment
         self.family = rmt.build_initial_family(two_projections(), 16)
 
     def test_deterministic(self):
-        spec = NeighborhoodSpec(2, 0.2)
-        r1 = chi_orb_mc(self.sigma, self.family, spec, 20, base_seed=3, n_motions=2)
-        r2 = chi_orb_mc(self.sigma, self.family, spec, 20, base_seed=3, n_motions=2)
+        r1 = chi_orb_mc(self.sigma, self.family, 2, 0.2, 20, base_seed=3, n_motions=2)
+        r2 = chi_orb_mc(self.sigma, self.family, 2, 0.2, 20, base_seed=3, n_motions=2)
         assert r1 == r2
 
     def test_huge_delta_all_hits(self):
-        spec = NeighborhoodSpec(2, 10.0)
         logf, hits, samples = chi_orb_mc(
-            self.sigma, self.family, spec, 10, base_seed=0, n_motions=2
+            self.sigma, self.family, 2, 10.0, 10, base_seed=0, n_motions=2
         )
         assert (hits, samples) == (10, 10)
         assert logf == 0.0
@@ -213,18 +199,16 @@ class TestChiOrb:
         def impossible(word):
             return 100.0
 
-        spec = NeighborhoodSpec(1, 0.01)
         logf, hits, samples = chi_orb_mc(
-            impossible, self.family, spec, 10, base_seed=0, n_motions=2
+            impossible, self.family, 1, 0.01, 10, base_seed=0, n_motions=2
         )
         assert hits == 0
         assert logf == NEG_INF
         assert isinstance(logf, str)
 
     def test_log_matches_fraction(self):
-        spec = NeighborhoodSpec(2, 0.15)
         logf, hits, samples = chi_orb_mc(
-            self.sigma, self.family, spec, 40, base_seed=1, n_motions=2
+            self.sigma, self.family, 2, 0.15, 40, base_seed=1, n_motions=2
         )
         if hits:
             assert logf == pytest.approx(math.log(hits / samples))
@@ -232,11 +216,17 @@ class TestChiOrb:
     def test_size_is_the_family_size(self):
         # the Haar draws take N from the family, so no separate N can disagree
         small = rmt.build_initial_family(two_projections(), 4)
-        assert chi_orb_mc(self.sigma, small, NeighborhoodSpec(2, 10.0), 5, 0, n_motions=2)[1:] == (5, 5)
+        assert chi_orb_mc(self.sigma, small, 2, 10.0, 5, 0, n_motions=2)[1:] == (5, 5)
+
+    def test_spec_validation(self):
+        with pytest.raises(ValueError, match=re.escape("m must be >= 1, got 0")):
+            chi_orb_mc(self.sigma, self.family, 0, 0.1, 5, 0, n_motions=2)
+        with pytest.raises(ValueError, match=re.escape("delta must be > 0, got 0.0")):
+            chi_orb_mc(self.sigma, self.family, 2, 0.0, 5, 0, n_motions=2)
 
     def test_sample_validation(self):
-        with pytest.raises(ValueError):
-            chi_orb_mc(self.sigma, self.family, NeighborhoodSpec(1, 0.1), 0, 0, n_motions=2)
+        with pytest.raises(ValueError, match=re.escape("samples must be >= 1, got 0")):
+            chi_orb_mc(self.sigma, self.family, 1, 0.1, 0, 0, n_motions=2)
 
 
 class TestRateIntegrand:
@@ -271,7 +261,7 @@ class TestRateIntegrand:
         # a correlated initial law left un-liberated (constant free-product
         # trajectory) admits a certifying P with strictly positive value
         sigma0 = correlated_projections()
-        fr = free_product_limit_state(sigma0, 2)
+        fr = FreeProductState(sigma0, 2)
         w = Word((Xs(1, 1, F(1, 2)), Xs(2, 1, F(1, 2))))
         P = (NCPolynomial.from_word(w) + NCPolynomial.from_word(w).adjoint()) * (-1)
         [(value, _)] = rate_integrand_eq9(fr, P, [F(1)], s_points=4)

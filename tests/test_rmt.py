@@ -80,7 +80,8 @@ class TestInitialFamily:
         for seed in (0, 1):
             traj = rmt.simulate_trajectory(N, 2, grid[1:], F(1, 50), seed)
             emp = EmpiricalTrajectory(fam, traj)
-            ds.append(trajectory_metric_d(emp, oracle, 2, 3, grid, gen_ids=[(1, 1), (2, 1)]))
+            d = trajectory_metric_d(emp.moment, oracle.moment, 2, 3, grid, gen_ids=[(1, 1), (2, 1)])
+            ds.append(d)
         assert 0.03 <= N * np.mean(ds) <= 0.3
 
 

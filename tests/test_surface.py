@@ -17,7 +17,6 @@ PROGRAM = LIBLAB + sorted((ROOT / "perfbench").glob("*.py"))
 
 KEPT = {
     "catalan": "acceptance criterion 06 counts NC(n) against the Catalan numbers",
-    "enumerate_nc": "acceptance criterion 06 counts NC(n) against the Catalan numbers",
     "scalar_cumulants": "acceptance criterion 06 round-trips moments and cumulants",
     "parse_word": "the inverse of format_word's text form: tests round-trip words through it "
     "and build words from text in other processes with it",
