@@ -6,9 +6,10 @@ u(t_q) becomes the motion's left increments g_q ... g_1 over the word's own
 times for that motion, which are free from each other and from everything
 else (Biane 1997). The word is then evaluated by the non-crossing cumulant
 sum restricted to color-homogeneous partitions (mixed free cumulants vanish),
-run as the first-block recursion in the split order of
-``ncpart.first_block_splits``, over the intervals of each word. Joint
-cumulants come from the same recursion, inverted, with one table per law:
+run as the first-block recursion over the intervals of each word: the first
+block's other positions are taken by their number and, for one number, in
+``itertools.combinations`` order. Joint cumulants come from the same
+recursion, inverted, in the same order, with one table per law:
 
 - a component of the initial law gives exact rational joint moments;
 - an increment over an interval of length dt collapses words in g, g* to a
@@ -282,9 +283,9 @@ class FreeMomentEngine:
 
     def _interval(self, word, cols, els, local, width, a, b):
         """Moment of ``word[a:b]``, from the state memo or by its first-block
-        splits in the order of ``first_block_splits``: subsets of the
-        positions of the first letter's color by size, each size in
-        ``combinations`` order.
+        splits: subsets of the positions of the first letter's color by
+        size, each size in ``combinations`` order, the order in which
+        ``CumulantFunctional.kappa`` subtracts its splits.
 
         Exact laws stay exact. A Fraction that meets a float is turned into a
         float first, which gives the bytes of Fraction's own operator

@@ -7,8 +7,8 @@ and free cumulants, computed by the first-block recursion over subsets.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
+from itertools import combinations
 
 from .errors import SizeLimit
 
@@ -149,25 +149,6 @@ def kreweras(pi: NonCrossingPartition) -> NonCrossingPartition:
     return NonCrossingPartition(blocks, n)
 
 
-def first_block_splits(k: int, positions):
-    """Split 0..k-1 by the block that holds position 0.
-
-    For each subset S of ``positions`` (sorted, all > 0), yields the block
-    ``(0,) + S`` and the nonempty ranges ``(a, b)`` (half-open) between
-    consecutive block elements and after the last one. Every non-crossing
-    partition of 0..k-1 whose first block is that block is the union of the
-    block with non-crossing partitions of those ranges, which gives
-    ``m(a) = sum over blocks of kappa(a_block) * prod of m(a[a:b])``
-    (Nica-Speicher, Lecture 11). Subsets come in order of size.
-    """
-    positions = tuple(positions)
-    for r in range(len(positions) + 1):
-        for chosen in itertools.combinations(positions, r):
-            block = (0,) + chosen
-            ends = chosen + (k,)
-            yield block, tuple((a + 1, b) for a, b in zip(block, ends) if b > a + 1)
-
-
 class CumulantFunctional:
     """Joint free cumulants of a moment functional, by the first-block
     recursion ``kappa(a) = m(a) - sum_{block != all} kappa(a_block) prod m(gaps)``.
@@ -177,34 +158,24 @@ class CumulantFunctional:
     cumulants are memoized per argument tuple; ``kappa_pi`` is multiplicative
     over blocks.
 
-    The proper first-block splits of an argument of length ``k`` depend on
-    ``k`` alone. Each functional keeps them in one table per length, built
-    on first use, for ``k <= NC_ENUM_CAP`` (8,191 splits, about 3.3 MiB, at
-    the cap); a longer argument walks ``first_block_splits`` again. The
-    tables go with the functional, as its memos do.
+    The first block of a split of ``a_1..a_k`` is position 1 with a subset
+    of the positions ``2..k``; the gaps between its elements and after the
+    last one are intervals of ``a`` (Nica-Speicher, Lecture 11). ``kappa``
+    subtracts the proper splits in one order: by the size of that subset,
+    ``0..k-2``, and within one size in ``itertools.combinations`` order,
+    the order in which the moment engine walks its splits too.
     """
 
     def __init__(self, moment):
         self._moment_fn = moment
         self._moments = {}
         self._cache = {}
-        self._splits = {}  # argument length -> its proper first-block splits
 
     def _moment(self, args):
         hit = self._moments.get(args)
         if hit is None:
             hit = self._moments[args] = self._moment_fn(args)
         return hit
-
-    def _proper_splits(self, k):
-        """``first_block_splits(k, range(1, k))`` in its order, without the
-        full block, which comes last."""
-        splits = self._splits.get(k)
-        if splits is None:
-            splits = itertools.islice(first_block_splits(k, range(1, k)), 2 ** (k - 1) - 1)
-            if k <= NC_ENUM_CAP:
-                splits = self._splits[k] = tuple(splits)
-        return splits
 
     def kappa(self, args):
         args = tuple(args)
@@ -215,16 +186,27 @@ class CumulantFunctional:
         if hit is not None:
             return hit
         val = self._moment(args)
-        for block, gaps in self._proper_splits(len(args)):
-            sub = tuple([args[e] for e in block])
-            term = cache.get(sub)
-            if term is None:
-                term = self.kappa(sub)
-            for a, b in gaps:
-                if term == 0:
-                    break
-                term = term * self._moment(args[a:b])
-            val -= term
+        first, k = args[0], len(args)
+        width = k + 1
+        gaps = [None] * (width * width)  # moment of args[lo:hi] at lo * width + hi
+        for r in range(k - 1):
+            for chosen in combinations(range(1, k), r):
+                sub = (first, *[args[p] for p in chosen])
+                term = cache.get(sub)
+                if term is None:
+                    term = self.kappa(sub)
+                lo = 1
+                for hi in chosen + (k,):
+                    if hi > lo:
+                        if term == 0:
+                            break
+                        at = lo * width + hi
+                        m = gaps[at]
+                        if m is None:
+                            m = gaps[at] = self._moment(args[lo:hi])
+                        term = term * m
+                    lo = hi + 1
+                val -= term
         cache[args] = val
         return val
 

@@ -18,7 +18,7 @@ from liblab.ncalg import (
     _pairs,
     parse_word,
 )
-from liblab.ncpart import enumerate_nc, first_block_splits
+from liblab.ncpart import enumerate_nc
 
 
 def gaussian_generator(N, rng):
@@ -76,6 +76,42 @@ def free_product_moment(marginals, word):
     sigma0 = InitialLaw.free_product(marginals)
     state = FreeProductState(sigma0, n_motions=0)
     return state.moment(word)
+
+
+def first_block_splits(k, positions):
+    """The first-block splits of 0..k-1 whose block is 0 and a subset S of
+    ``positions`` (sorted, all > 0), in the order the library documents: S
+    by size, each size in ``itertools.combinations`` order. Yields the block
+    ``(0,) + S`` and the nonempty half-open gaps ``(a, b)`` between
+    consecutive block elements and after the last one."""
+    positions = tuple(positions)
+    for r in range(len(positions) + 1):
+        for chosen in itertools.combinations(positions, r):
+            block = (0,) + chosen
+            ends = chosen + (k,)
+            yield block, tuple((a + 1, b) for a, b in zip(block, ends) if b > a + 1)
+
+
+def cumulant_by_splits(moment, args, memo):
+    """kappa(args) of the functional ``moment``: m(args) minus the term of
+    each proper first-block split, ``kappa(block) * prod m(gaps)``, taken
+    from left to right and subtracted in the order of
+    ``first_block_splits``. ``memo`` keeps the cumulants of this functional."""
+    if args in memo:
+        return memo[args]
+    k = len(args)
+    val = moment(args)
+    for block, gaps in first_block_splits(k, range(1, k)):
+        if len(block) == k:
+            continue
+        term = cumulant_by_splits(moment, tuple(args[e] for e in block), memo)
+        for a, b in gaps:
+            if term == 0:
+                break
+            term = term * moment(args[a:b])
+        val -= term
+    memo[args] = val
+    return val
 
 
 def moment_from_cumulants(cf, args):

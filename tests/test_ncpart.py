@@ -6,22 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from liblab import ncpart
 from liblab.cli import two_free_projections
 from liblab.errors import SizeLimit
 from liblab.freestate import LiberationState
 from liblab.ncalg import Word, Xs
 from liblab.ncpart import (
-    NC_ENUM_CAP,
     CumulantFunctional,
     NonCrossingPartition,
     catalan,
     enumerate_nc,
-    first_block_splits,
     kreweras,
     scalar_cumulants,
 )
-from references import moment_from_cumulants
+from references import cumulant_by_splits, moment_from_cumulants
 
 
 def all_set_partitions(n):
@@ -181,68 +178,32 @@ class TestMomentCumulant:
         for args in words:
             assert moment_from_cumulants(cf, args) == moment(args)
 
-    def test_first_block_splits(self):
-        splits = list(first_block_splits(6, (2, 5)))
-        assert splits == [
-            ((0,), ((1, 6),)),
-            ((0, 2), ((1, 2), (3, 6))),
-            ((0, 5), ((1, 5),)),
-            ((0, 2, 5), ((1, 2), (3, 5))),
-        ]
-        assert len(list(first_block_splits(9, range(1, 9)))) == 2**8
+    def test_kappa_subtracts_splits_in_order(self):
+        # float moments of a non-tracial functional, one per argument tuple:
+        # a different order of the subtractions moves the last bits
+        def moment(args):
+            return random.Random(repr(args)).uniform(-1, 1)
 
-
-def _count_split_lengths(monkeypatch):
-    """Patch ``ncpart.first_block_splits`` to record the length of each call."""
-    lengths = []
-
-    def counted(k, positions):
-        lengths.append(k)
-        return splits(k, positions)
-
-    splits = ncpart.first_block_splits
-    monkeypatch.setattr(ncpart, "first_block_splits", counted)
-    return lengths
-
-
-class TestSplitTables:
-    def test_one_walk_per_length(self, monkeypatch):
-        lengths = _count_split_lengths(monkeypatch)
-        rng = random.Random(3)
-        words = [tuple(rng.choice("abc") for _ in range(k)) for k in range(1, 11) for _ in range(20)]
-        atoms = {"a": Fraction(1, 2), "b": Fraction(-1, 3), "c": Fraction(2)}
-        cf = CumulantFunctional(lambda args: Fraction(len(args)) * sum(atoms[a] for a in args))
+        rng = random.Random(5)
+        words = [tuple(rng.choice("abc") for _ in range(k)) for k in range(1, 10) for _ in range(4)]
+        cf = CumulantFunctional(moment)
+        memo = {}
         for args in words:
-            cf.kappa(args)
-        assert len(set(map(len, words))) == 10
-        assert sorted(lengths) == list(range(1, 11))
-        # the generator's splits in its order, without the full block
-        for k in range(1, 11):
-            full = [split for split in first_block_splits(k, range(1, k)) if len(split[0]) != k]
-            assert list(cf._splits[k]) == full
+            assert cf.kappa(args) == cumulant_by_splits(moment, args, memo)
 
-    def test_fresh_state_starts_with_no_tables(self, monkeypatch):
-        w = Word(tuple(Xs(1 + q % 2, 1, Fraction(1, 1 + q % 3)) for q in range(6)))
-        first = LiberationState(two_free_projections(), 2)
-        value = first.moment(w)
-        lengths = _count_split_lengths(monkeypatch)
-        state = LiberationState(two_free_projections(), 2)
-        assert not state.engine._laws
-        assert state.moment(w) == value
-        tables = [cf._splits for cf in state.engine._laws.values()]
-        assert sorted(lengths) == sorted(k for splits in tables for k in splits)
-        assert all(tables) and lengths
-
-    def test_nothing_stored_above_cap(self, monkeypatch):
-        lengths = _count_split_lengths(monkeypatch)
+    def test_catalan_cumulants_to_16(self):
+        # past the NC enumeration cap as well
         catalan_moments = [0 if k % 2 else catalan(k // 2) for k in range(1, 17)]
         cf = CumulantFunctional(lambda args: catalan_moments[len(args) - 1])
         kappas = {k: cf.kappa(("s",) * k) for k in range(1, 17)}
         assert kappas == {k: int(k == 2) for k in range(1, 17)}
-        assert sorted(cf._splits) == list(range(1, NC_ENUM_CAP + 1))
-        assert lengths == list(range(1, 17))
-        cf.kappa(("s", "s") * 8)  # memoised: no walk
-        cf._cache.clear()
-        cf.kappa(("s",) * 16)  # the tables serve every length up to the cap
-        assert lengths == list(range(1, 17)) + [16, 15]
         assert scalar_cumulants(catalan_moments, 16) == kappas
+
+    def test_fresh_state_starts_with_no_laws(self):
+        w = Word(tuple(Xs(1 + q % 2, 1, Fraction(1, 1 + q % 3)) for q in range(6)))
+        first = LiberationState(two_free_projections(), 2)
+        value = first.moment(w)
+        state = LiberationState(two_free_projections(), 2)
+        assert not state.engine._laws
+        assert state.moment(w) == value
+        assert state.engine._laws
