@@ -154,16 +154,18 @@ def chi_orb_mc(sigma, family, m, delta, samples, base_seed, n_motions):
 # Rate integrand
 
 
-def rate_integrand_eq9(tau, P, ts, s_points=8):
+def rate_integrand_eq9(tau, P, ts, s_points=6):
     """[(value, breakdown), ...] of the rate integrand at trajectory tau and
     test polynomial P, one entry per horizon t in ``ts``, in order.
 
     breakdown = {"shifted": tau^t(P), "reference": sigma0^lib(P),
                  "quadratic": (1/2) sum_k int_0^t ||E||^2 ds}.
-    The s-integral uses the trapezoid rule on each interval between kink
-    points (0, t and the word times below t), with ``s_points`` panels per
-    interval. The s-integrand depends on P and s, not on t, so each node is
-    evaluated once per call for all horizons.
+    The s-integrand is smooth between kink points (0, t and the word times
+    below t) and vanishes past the largest word time, where it jumps. So the
+    s-integral takes ``s_points`` Gauss-Legendre nodes inside each interval
+    between kinks, up to the largest word time, and evaluates no endpoint;
+    each node is the Fraction of its float. The s-integrand depends on P and
+    s, not on t, so each node is evaluated once per call for all horizons.
     """
     if not isinstance(tau, TraceState):
         raise UnsupportedState(
@@ -178,14 +180,12 @@ def rate_integrand_eq9(tau, P, ts, s_points=8):
     n = tau.n
     reference = complex(ref.moment(P)).real
 
-    # ||E(Pi^s(D_s^(k) P))||^2 summed over k, at node s in [0, t]. It
-    # vanishes for s past the largest word time.
+    # ||E(Pi^s(D_s^(k) P))||^2 summed over k, at node s in (0, max_t).
     max_t = P.max_time()
     f = {}  # node s -> integrand, shared by the horizons of this call
+    rule = [(float(x), float(w)) for x, w in zip(*np.polynomial.legendre.leggauss(s_points))]
 
     def integrand(s):
-        if s >= max_t:
-            return 0.0
         if s not in f:
             total = 0.0
             for k in range(1, n + 1):
@@ -205,11 +205,11 @@ def rate_integrand_eq9(tau, P, ts, s_points=8):
         quad = 0.0
         kinks = _kink_times_capped(P, t)
         for a, b in zip(kinks, kinks[1:]):
-            if a >= max_t:
+            b = min(b, max_t)
+            if a >= b:
                 continue
-            xs = [a + (b - a) * Fraction(q, s_points) for q in range(s_points + 1)]
-            ys = [integrand(x) for x in xs]
-            quad += float(np.trapezoid(ys, [float(x) for x in xs]))
+            half, mid = float(b - a) / 2, float(a + b) / 2
+            quad += half * sum(w * integrand(Fraction(mid + half * x)) for x, w in rule)
         quad *= 0.5
         value = shifted - reference - quad
         out.append((value, {"shifted": shifted, "reference": reference, "quadratic": quad}))

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from liblab import _kernels
 from liblab.errors import NonXPolynomial
-from liblab.freestate import FreeProductState, InitialLaw
+from liblab.freestate import FreeProductState, InitialLaw, conditional_expectation_prop81
 from liblab.ncalg import (
     EMPTY_WORD,
     NCPolynomial,
@@ -164,6 +164,40 @@ class TupleLetterMoment:
     def _note(self, a, b):
         if {type(a), type(b)} == {Fraction, float}:
             self.mixed = True
+
+
+def rate_s_integrand(tau, P, s):
+    """sum_k ||E(Pi^s(D_s^(k) P))||^2, the s-integrand of the rate
+    integrand's quadratic term, taken as 0 from the largest word time on."""
+    if s >= P.max_time():
+        return 0.0
+    total = 0.0
+    for k in range(1, tau.n + 1):
+        E = NCPolynomial(
+            (w2, c2 * c)
+            for w, c in P.terms.items()
+            for w2, c2 in conditional_expectation_prop81(w, k, s, tau).terms.items()
+        )
+        total += tau.norm2_squared(E)
+    return total
+
+
+def trapezoid_quadratic(tau, P, t, panels, memo):
+    """(1/2) int_0^t of ``rate_s_integrand`` by the trapezoid rule with
+    ``panels`` panels on each interval between 0, t and the word times below
+    t. It evaluates the endpoints, where the integrand jumps, so its error is
+    first order in the panel width. ``memo`` keeps the integrand by node."""
+    kinks = sorted({Fraction(0), t} | {sym.t for w in P.terms for sym in w.letters if 0 < sym.t < t})
+    total = 0.0
+    for a, b in zip(kinks, kinks[1:]):
+        ys = []
+        for q in range(panels + 1):
+            s = a + (b - a) * Fraction(q, panels)
+            if s not in memo:
+                memo[s] = rate_s_integrand(tau, P, s)
+            ys.append(memo[s])
+        total += float(b - a) / panels * (sum(ys) - (ys[0] + ys[-1]) / 2)
+    return 0.5 * total
 
 
 class TensorPolynomial:

@@ -29,6 +29,7 @@ from liblab.ratefn import (
     trajectory_metric_d,
     trajectory_metric_words,
 )
+from references import trapezoid_quadratic
 
 
 def two_projections():
@@ -303,6 +304,49 @@ class TestRateIntegrand:
         assert together == alone
         assert together[3][1]["quadratic"] == 0.0
         assert rate_integrand_eq9(self.tau, P, [], s_points=4) == []
+
+    # one word time, and mixed word times with an interior kink at 1/4
+    QUADRATURE_WORDS = [
+        Word((Xs(1, 1, F(1, 4)), Xs(2, 1, F(1, 4)), Xs(1, 1, F(1, 4)), Xs(2, 1, F(1, 4)))),
+        Word((Xs(1, 1, F(1, 4)), Xs(2, 1, F(1, 2)), Xs(1, 1, F(1, 2)), Xs(2, 1, F(1, 4)))),
+    ]
+
+    @pytest.mark.parametrize("w", QUADRATURE_WORDS, ids=["one-time", "mixed-times"])
+    def test_quadrature_converged(self, w):
+        [(_, six)] = rate_integrand_eq9(self.tau, w, [F(1)], s_points=6)
+        [(_, twelve)] = rate_integrand_eq9(self.tau, w, [F(1)], s_points=12)
+        assert abs(six["quadratic"] - twelve["quadratic"]) < 1e-10
+        assert type(six["quadratic"]) is float
+
+    @pytest.mark.parametrize("w", QUADRATURE_WORDS, ids=["one-time", "mixed-times"])
+    def test_quadrature_matches_richardson_limit(self, w):
+        # The trapezoid with 8, 16 and 32 panels per interval has errors in
+        # h (the jumps at the kinks), h^2 and h^4; two Richardson steps leave
+        # about 5e-9. The trapezoid alone is off by 3e-4 or more at 8 panels.
+        P, memo = NCPolynomial.from_word(w), {}
+        T = [trapezoid_quadratic(self.tau, P, F(1), n, memo) for n in (8, 16, 32)]
+        R1 = [2 * fine - coarse for coarse, fine in zip(T, T[1:])]
+        limit = (4 * R1[1] - R1[0]) / 3
+        [(_, br)] = rate_integrand_eq9(self.tau, w, [F(1)])
+        assert abs(br["quadratic"] - limit) < 2e-8
+        assert abs(T[0] - limit) > 1e-4
+
+    def test_no_endpoint_is_evaluated(self, monkeypatch):
+        # word times 1/4 and 1/2; horizons below, at and past the largest
+        nodes = set()
+
+        def recorded(w, k, s, tau):
+            nodes.add(s)
+            return conditional_expectation_prop81(w, k, s, tau)
+
+        monkeypatch.setattr(ratefn, "conditional_expectation_prop81", recorded)
+        ts = [F(1, 5), F(1, 3), F(1, 2), F(2)]
+        rate_integrand_eq9(self.tau, self.QUADRATURE_WORDS[1], ts, s_points=3)
+        kinks = sorted({F(0), F(1, 4), F(1, 2), *ts})
+        assert len(nodes) == 3 * 4  # in (0,1/5) (0,1/4) (1/4,1/3) (1/4,1/2)
+        for s in nodes:
+            assert isinstance(s, F) and 0 < s < F(1, 2)
+            assert s not in kinks
 
     @pytest.mark.parametrize("ts", [[F(1)], [F(1, 2), F(1), F(2)]])
     def test_prop81_once_per_node(self, ts, monkeypatch):
