@@ -5,8 +5,8 @@ prop81-check, rate-minimizer, bounds-51, metric.
 
 Every output file is self-describing: a ``#``-prefixed header echoes the tool
 version, schema version, and the full resolved configuration (including the
-seed of the four stochastic subcommands). Config files are INI-style (one
-section per subcommand); command-line flags override config values. An
+seed of the four stochastic subcommands). Config files are UTF-8, INI-style
+(one section per subcommand); command-line flags override config values. An
 ``--out`` file is opened before the run and written through a temporary file
 beside it, so it is never left half-written.
 
@@ -136,9 +136,10 @@ def run_heat_kernel(cfg):
 def run_chi_orb(cfg):
     sigma0 = two_free_projections()
     sigma = FreeProductState(sigma0, 2)
+    # every N is checked before any sampling starts
+    families = [rmt.build_initial_family(sigma0, N) for N in cfg["N_list"]]
     rows = []
-    for N in cfg["N_list"]:
-        family = rmt.build_initial_family(sigma0, N)
+    for N, family in zip(cfg["N_list"], families):
         logf, hits, samples = ratefn.chi_orb_mc(
             sigma.moment, family, cfg["m"], cfg["delta"], cfg["samples"], cfg["seed"], n_motions=2
         )
@@ -412,11 +413,14 @@ def _resolve_config(args):
     cfg = {key: default for key, (_t, default) in schema.items()}
     config_path = getattr(args, "config", None)
     if config_path:
-        if not os.path.exists(config_path):
-            raise ConfigError("config file %s does not exist" % config_path)
         ini = configparser.ConfigParser()
         try:
-            ini.read(config_path)
+            with open(config_path, encoding="utf-8") as fh:
+                ini.read_file(fh)
+        except OSError as exc:
+            raise ConfigError("cannot read config file %s: %s" % (config_path, exc.strerror))
+        except UnicodeDecodeError as exc:
+            raise ConfigError("cannot read config file %s as UTF-8: %s" % (config_path, exc))
         except configparser.Error as exc:
             raise ConfigError("bad config file: %s" % exc)
         if ini.has_section(name):

@@ -39,6 +39,18 @@ class TestExitCodes:
     def test_config_error_missing_file(self, tmp_path):
         assert run_main(["heat-kernel", "--config", str(tmp_path / "nope.ini")]) == 2
 
+    def test_config_error_directory(self, tmp_path, monkeypatch, capsys):
+        _never_run(monkeypatch, "heat-kernel")
+        assert run_main(["heat-kernel", "--config", str(tmp_path)]) == 2
+        assert "cannot read config file %s" % tmp_path in capsys.readouterr().err
+
+    def test_config_error_undecodable(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(b"\xff\xfe[heat-kernel]\npoints = 2\n")
+        _never_run(monkeypatch, "heat-kernel")
+        assert run_main(["heat-kernel", "--config", str(cfg)]) == 2
+        assert "cannot read config file %s as UTF-8" % cfg in capsys.readouterr().err
+
     def test_config_error_bad_value(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[chi-orb]\ndelta = -1\n")
@@ -158,6 +170,17 @@ class TestExitCodes:
         code = run_main(["heat-kernel", "--out", str(tmp_path / target)])
         assert code == 4
         assert "error: io:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n_list", ["64,7", "7,64", "8,16,5"])
+    def test_chi_orb_odd_n_fails_before_sampling(self, n_list, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(ratefn, "chi_orb_mc", lambda *a, **k: calls.append(a))
+        out = tmp_path / "chi.csv"
+        code = run_main(["chi-orb", "--N-list", n_list, "--samples", "500", "--out", str(out)])
+        assert code == 3
+        assert "error: domain:" in capsys.readouterr().err
+        assert calls == []
         assert list(tmp_path.iterdir()) == []
 
     def test_failed_run_leaves_no_file(self, tmp_path):
