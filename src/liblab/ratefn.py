@@ -205,8 +205,8 @@ def rate_integrand_eq9(tau, P, ts, s_points=6):
         quad = 0.0
         kinks = _kink_times_capped(P, t)
         for a, b in zip(kinks, kinks[1:]):
-            b = min(b, max_t)
-            if a >= b:
+            # max_t is a kink when it is below t, so no interval crosses it
+            if a >= max_t:
                 continue
             half, mid = float(b - a) / 2, float(a + b) / 2
             quad += half * sum(w * integrand(Fraction(mid + half * x)) for x, w in rule)
