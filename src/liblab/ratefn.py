@@ -183,7 +183,7 @@ def rate_integrand_eq9(tau, P, ts, s_points=6):
     # ||E(Pi^s(D_s^(k) P))||^2 summed over k, at node s in (0, max_t).
     max_t = P.max_time()
     f = {}  # node s -> integrand, shared by the horizons of this call
-    rule = [(float(x), float(w)) for x, w in zip(*np.polynomial.legendre.leggauss(s_points))]
+    rule = _gauss_legendre(s_points)
 
     def integrand(s):
         if s not in f:
@@ -214,6 +214,37 @@ def rate_integrand_eq9(tau, P, ts, s_points=6):
         value = shifted - reference - quad
         out.append((value, {"shifted": shifted, "reference": reference, "quadratic": quad}))
     return out
+
+
+def _gauss_legendre(n):
+    """[(node, weight), ...] of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Each node is a root of P_n, found by Newton's method from its
+    asymptotic guess; its weight is 2 / ((1 - x^2) P_n'(x)^2). It runs in
+    plain Python floats, so the rate integrand's bytes do not depend on the
+    LAPACK build, and the process does not pay LAPACK's first call (about
+    1 MiB).
+    """
+    rule = []
+    for i in range(n):
+        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+        for _ in range(100):  # Newton takes a handful of steps from this guess
+            p, dp = _legendre(n, x)
+            step = p / dp
+            x -= step
+            if abs(step) < 1e-15:
+                break
+        dp = _legendre(n, x)[1]
+        rule.append((x, 2 / ((1 - x * x) * dp * dp)))
+    return rule
+
+
+def _legendre(n, x):
+    """P_n(x) and P_n'(x), by the three-term recurrence (n >= 1, |x| < 1)."""
+    prev, p = 1.0, x
+    for k in range(2, n + 1):
+        prev, p = p, ((2 * k - 1) * x * p - (k - 1) * prev) / k
+    return p, n * (x * p - prev) / (x * x - 1)
 
 
 def _kink_times_capped(P: NCPolynomial, t: Fraction):

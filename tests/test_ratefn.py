@@ -311,6 +311,14 @@ class TestRateIntegrand:
         Word((Xs(1, 1, F(1, 4)), Xs(2, 1, F(1, 2)), Xs(1, 1, F(1, 2)), Xs(2, 1, F(1, 4)))),
     ]
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 12, 32])
+    def test_gauss_legendre_rule_is_exact_to_degree_2n_minus_1(self, n):
+        rule = ratefn._gauss_legendre(n)
+        assert len(rule) == n and all(type(x) is float and -1 < x < 1 for x, _ in rule)
+        for d in range(2 * n):
+            exact = 2 / (d + 1) if d % 2 == 0 else 0.0
+            assert abs(sum(w * x**d for x, w in rule) - exact) < 1e-14
+
     @pytest.mark.parametrize("w", QUADRATURE_WORDS, ids=["one-time", "mixed-times"])
     def test_quadrature_converged(self, w):
         [(_, six)] = rate_integrand_eq9(self.tau, w, [F(1)], s_points=6)
