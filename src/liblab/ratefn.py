@@ -217,34 +217,24 @@ def rate_integrand_eq9(tau, P, ts, s_points=6):
 
 
 def _gauss_legendre(n):
-    """[(node, weight), ...] of the n-point Gauss-Legendre rule on [-1, 1].
-
-    Each node is a root of P_n, found by Newton's method from its
-    asymptotic guess; its weight is 2 / ((1 - x^2) P_n'(x)^2). It runs in
-    plain Python floats, so the rate integrand's bytes do not depend on the
-    LAPACK build, and the process does not pay LAPACK's first call (about
-    1 MiB).
-    """
+    """[(node, weight), ...] of the n-point Gauss-Legendre rule on [-1, 1]:
+    the roots x of P_n by Newton's method, with weights 2 / ((1 - x^2)
+    P_n'(x)^2). Plain floats, so the bytes do not depend on the LAPACK build
+    and the process does not pay LAPACK's first call (about 1 MiB)."""
     rule = []
     for i in range(n):
-        x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
-        for _ in range(100):  # Newton takes a handful of steps from this guess
-            p, dp = _legendre(n, x)
+        x, step = math.cos(math.pi * (i + 0.75) / (n + 0.5)), 1.0
+        for _ in range(100):  # a handful of steps from this guess
+            prev, p = 1.0, x  # P_{k-1}(x), P_k(x) by the three-term recurrence
+            for k in range(2, n + 1):
+                prev, p = p, ((2 * k - 1) * x * p - (k - 1) * prev) / k
+            dp = n * (x * p - prev) / (x * x - 1)
+            if abs(step) < 1e-15:  # converged, and dp is taken at this x
+                break
             step = p / dp
             x -= step
-            if abs(step) < 1e-15:
-                break
-        dp = _legendre(n, x)[1]
         rule.append((x, 2 / ((1 - x * x) * dp * dp)))
     return rule
-
-
-def _legendre(n, x):
-    """P_n(x) and P_n'(x), by the three-term recurrence (n >= 1, |x| < 1)."""
-    prev, p = 1.0, x
-    for k in range(2, n + 1):
-        prev, p = p, ((2 * k - 1) * x * p - (k - 1) * prev) / k
-    return p, n * (x * p - prev) / (x * x - 1)
 
 
 def _kink_times_capped(P: NCPolynomial, t: Fraction):
