@@ -6,9 +6,9 @@ u(t_q) becomes the motion's left increments g_q ... g_1 over the word's own
 times for that motion, which are free from each other and from everything
 else (Biane 1997). The word is then evaluated by the non-crossing cumulant
 sum restricted to color-homogeneous partitions (mixed free cumulants vanish),
-run as the first-block recursion over the intervals of each word: the first
-block's other positions are taken by their number and, for one number, in
-``itertools.combinations`` order. Joint cumulants come from the same
+run as the first-block recursion over the intervals of each word: the
+subsets of the first block's other positions go by size and, within one
+size, in ``itertools.combinations`` order. Joint cumulants come from the same
 recursion, inverted, in the same order, with one table per law:
 
 - a component of the initial law gives exact rational joint moments;

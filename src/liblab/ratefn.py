@@ -17,8 +17,6 @@ import itertools
 import math
 from fractions import Fraction
 
-import numpy as np
-
 from . import ncalg, rmt
 from .errors import UnsupportedState
 from .freestate import LiberationState, TraceState, conditional_expectation_prop81

@@ -358,7 +358,7 @@ class TestRateIntegrand:
 
     @pytest.mark.parametrize("ts", [[F(1)], [F(1, 2), F(1), F(2)]])
     def test_prop81_once_per_node(self, ts, monkeypatch):
-        # one word at time 1/2, n = 2: the 8 nodes in [0, 1/2) times 2 motions,
+        # one word at time 1/2, n = 2: the 8 nodes in (0, 1/2) times 2 motions,
         # however many horizons >= 1/2 share them
         calls = []
 
